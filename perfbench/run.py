@@ -17,6 +17,7 @@ average at start and end). The last line is the result object
   rtl_audit        Verilog text through submit()+screen(), 1 shard, inline
   resident_screen  pre-featurized designs against ~10k resident rows,
                    2 shards x 2 threads, int8 prefilter, 4 submits : 1 top_k
+                   (one submit in four a probe of a family never resident)
   remote_screen    the resident_screen ops over 2 gnn4ip_shardd processes
 
 Extra flags after the standard four are passed to the program (see
@@ -24,6 +25,7 @@ perfbench/src/main.cpp); perfbench/selftest.py uses them for tiny runs.
 """
 import argparse
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -37,6 +39,10 @@ BUILD = ROOT / ".bench_build"
 PROGRAM = BUILD / "rtl_verdict_bench"
 SHARDD = BUILD / "gnn4ip" / "gnn4ip_shardd"
 STATE = BUILD / "state"
+# Everything the program's verdicts depend on; the digest store is kept
+# per hash of these, so a run checks its verdicts only against earlier
+# runs of the same code.
+CODE = ("CMakeLists.txt", "src", "perfbench/CMakeLists.txt", "perfbench/src")
 RUN_TIMEOUT_S = 170
 WORKLOADS = ("rtl_audit", "resident_screen", "remote_screen")
 
@@ -86,6 +92,17 @@ def build():
     return cache
 
 
+def code_hash():
+    digest = hashlib.sha256()
+    for top in CODE:
+        path = ROOT / top
+        files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+        for f in files:
+            digest.update(str(f.relative_to(ROOT)).encode() + b"\0")
+            digest.update(f.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
 def host_record(cache):
     cpu = platform.processor() or "unknown"
     try:
@@ -121,10 +138,11 @@ def die_with_parent():
 
 def run_program(args, extra):
     """Run the benchmark program once; returns (exit code, stdout lines)."""
+    state = STATE / code_hash()
     command = [str(PROGRAM), "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace),
-               "--shardd", str(SHARDD), "--state-dir", str(STATE)] + extra
-    STATE.mkdir(parents=True, exist_ok=True)
+               "--shardd", str(SHARDD), "--state-dir", str(state)] + extra
+    state.mkdir(parents=True, exist_ok=True)
     child = subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
                              preexec_fn=die_with_parent)
 

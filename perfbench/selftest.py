@@ -24,8 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import run  # noqa: E402  (the runner: build() and its paths)
 
-TINY = ["--ops", "60", "--library-rows", "300", "--setup-reps", "2",
-        "--check-ops", "40"]
+TINY = ["--ops", "60", "--library-rows", "300"]
 STATE = run.BUILD / "selftest-state"
 SPEC = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 FAILURES = []

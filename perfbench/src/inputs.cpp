@@ -27,6 +27,7 @@ constexpr std::size_t kRtlWindow = 16;      // rtl_audit unpinned residents
 constexpr std::size_t kLibraryCopies = 4;   // resident rows per design
 constexpr std::size_t kPoolPerFamily = 4;   // screen submission pool
 constexpr std::size_t kReadEvery = 5;       // one read per five ops
+constexpr std::size_t kHoldOutEvery = 4;    // one family in four is held out
 // ISCAS-85 originals in the streams; c6288 (a 16x16 multiplier, ~5.7k
 // DFG nodes, ~60 ms per design) would be one op costing as much as a
 // hundred others, so it stays out.
@@ -46,6 +47,12 @@ std::vector<std::size_t> permutation(std::size_t n, Rng& rng) {
   return p;
 }
 
+/// Families in RTL-then-netlist order; one in kHoldOutEvery never enters
+/// the library, so its submissions are the streams' true negatives.
+bool held_out(std::size_t family_index) {
+  return family_index % kHoldOutEvery == kHoldOutEvery - 1;
+}
+
 std::vector<gnn4ip::data::IscasBenchmark> stream_iscas() {
   std::vector<gnn4ip::data::IscasBenchmark> out;
   for (auto& b : gnn4ip::data::iscas_benchmarks()) {
@@ -57,13 +64,13 @@ std::vector<gnn4ip::data::IscasBenchmark> stream_iscas() {
   return out;
 }
 
-/// Compile designs on two workers; a design the front end rejects is a
-/// benchmark bug, not a measurement.
+/// Compile designs on `threads` workers; a design the front end rejects
+/// is a benchmark bug, not a measurement.
 std::vector<gnn4ip::gnn::GraphTensors> compile_all(
-    const std::vector<std::string>& sources) {
+    const std::vector<std::string>& sources, std::size_t threads) {
   const gnn4ip::audit::Pipeline pipeline;
   std::vector<gnn4ip::audit::CompileResult> compiled =
-      pipeline.compile_batch(sources, /*num_threads=*/2);
+      pipeline.compile_batch(sources, threads);
   std::vector<gnn4ip::gnn::GraphTensors> out;
   out.reserve(compiled.size());
   for (auto& c : compiled) {
@@ -78,7 +85,7 @@ std::vector<gnn4ip::gnn::GraphTensors> compile_all(
 
 }  // namespace
 
-Trained train_model() {
+Trained train_model(std::size_t threads) {
   gnn4ip::data::RtlCorpusOptions rtl;
   rtl.instances_per_family = 3;
   rtl.seed = 11;
@@ -102,7 +109,7 @@ Trained train_model() {
   gnn4ip::train::TrainConfig tc;
   tc.epochs = 20;
   tc.learning_rate = 3e-3F;
-  tc.num_threads = 2;
+  tc.num_threads = threads;
   tc.seed = 7;
   gnn4ip::train::Trainer trainer(t.model, dataset, tc);
   for (int e = 0; e < tc.epochs; ++e) (void)trainer.train_epoch();
@@ -135,11 +142,15 @@ RtlWorkload make_rtl_workload(std::uint64_t seed, std::size_t warmup_ops,
     bases.push_back(data::build_netlist_family(n));
   }
 
-  for (const data::RtlFamily& f : data::rtl_families()) {
+  const std::size_t num_rtl = data::rtl_families().size();
+  for (std::size_t f = 0; f < num_rtl; ++f) {
+    if (held_out(f)) continue;
+    const data::RtlFamily& fam = data::rtl_families()[f];
     w.library.push_back(
-        {"lib:" + f.name, f.name, f.generate({0, rng.next_u64()})});
+        {"lib:" + fam.name, fam.name, fam.generate({0, rng.next_u64()})});
   }
   for (std::size_t i = 0; i < netlists.size(); ++i) {
+    if (held_out(num_rtl + i)) continue;
     w.library.push_back(
         {"lib:" + netlists[i], netlists[i], bases[i].to_verilog()});
   }
@@ -185,6 +196,8 @@ RtlWorkload make_rtl_workload(std::uint64_t seed, std::size_t warmup_ops,
 
   // Ground truth: the library is pinned; submissions stay resident for
   // kRtlWindow later admissions (LRU over unpinned rows, names unique).
+  // A held-out family (and if_chain) is positive only while its previous
+  // instance, about one round back, is still in that window.
   w.max_resident = w.library.size() + kRtlWindow;
   std::unordered_map<std::string, int> resident;
   for (const Design& d : w.library) ++resident[d.family];
@@ -213,7 +226,8 @@ RtlWorkload make_rtl_workload(std::uint64_t seed, std::size_t warmup_ops,
 ScreenWorkload make_screen_workload(std::uint64_t seed,
                                     std::size_t warmup_ops,
                                     std::size_t timed_ops,
-                                    std::size_t library_rows) {
+                                    std::size_t library_rows,
+                                    std::size_t threads) {
   namespace data = gnn4ip::data;
   ScreenWorkload w;
   Rng rng(mix(seed, 2));
@@ -239,13 +253,9 @@ ScreenWorkload make_screen_workload(std::uint64_t seed,
     Rng child = rng.fork();
     return data::restructure(bases[f - num_rtl], child).to_verilog();
   };
-  // Two RTL families and one netlist family never enter the library, so
-  // the first submission of each has no resident relative.
   std::vector<std::size_t> in_library;
   for (std::size_t f = 0; f < families.size(); ++f) {
-    if (f != num_rtl - 1 && f != num_rtl - 2 && f != families.size() - 1) {
-      in_library.push_back(f);
-    }
+    if (!held_out(f)) in_library.push_back(f);
   }
 
   const std::size_t designs =
@@ -256,22 +266,31 @@ ScreenWorkload make_screen_workload(std::uint64_t seed,
     sources.push_back(instance(f));
     w.library_families.push_back(families[f]);
   }
-  w.library_tensors = compile_all(sources);
+  w.library_tensors = compile_all(sources, threads);
   for (std::size_t t = 0; t < library_rows; ++t) {
     const std::size_t d = t % designs;
     w.rows.push_back({"lib" + std::to_string(t) + ":" + w.library_families[d],
                       d, t < in_library.size()});
   }
 
+  // Submission pool: kPoolPerFamily instances of every family. Designs of
+  // held-out families are probes, all submitted under one name, so each
+  // probe replaces the previous one; the replaced row is a tombstone when
+  // the probe is screened, so no relative of a probe is ever resident.
   sources.clear();
+  std::vector<std::size_t> regular;
+  std::vector<std::size_t> probes;
   for (std::size_t s = 0; s < kPoolPerFamily * families.size(); ++s) {
-    sources.push_back(instance(s % families.size()));
-    w.pool_families.push_back(families[s % families.size()]);
+    const std::size_t f = s % families.size();
+    (held_out(f) ? probes : regular).push_back(s);
+    sources.push_back(instance(f));
+    w.pool_families.push_back(families[f]);
   }
-  w.pool = compile_all(sources);
+  w.pool = compile_all(sources, threads);
 
   // Residency: pinned rows stay; unpinned rows and submissions leave in
-  // admission order once live rows exceed max_resident.
+  // admission order (LRU by admission; a replaced name moves to the back)
+  // once live rows exceed max_resident.
   w.max_resident = library_rows;
   std::unordered_map<std::string, int> resident;
   std::vector<std::string> pinned;
@@ -289,13 +308,29 @@ ScreenWorkload make_screen_workload(std::uint64_t seed,
   const std::size_t blocks =
       warmup_blocks + (timed_ops + kReadEvery - 1) / kReadEvery;
   w.warmup = warmup_blocks * kReadEvery;
-  std::vector<std::size_t> cycle;
-  std::size_t next = 0;
+  // Each (shuffled) block: one read, one probe, the rest regular submits.
+  struct Cycle {
+    const std::vector<std::size_t>& items;
+    std::vector<std::size_t> order;
+    std::size_t next = 0;
+    std::size_t take(Rng& r) {
+      if (next == order.size()) {
+        order.clear();
+        for (std::size_t p : permutation(items.size(), r)) {
+          order.push_back(items[p]);
+        }
+        next = 0;
+      }
+      return order[next++];
+    }
+  };
+  Cycle regular_cycle{regular, {}};
+  Cycle probe_cycle{probes, {}};
   for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t read_at = rng.next_below(kReadEvery);
+    const std::vector<std::size_t> slots = permutation(kReadEvery, rng);
     for (std::size_t i = 0; i < kReadEvery; ++i) {
       Op op;
-      if (i == read_at) {
+      if (slots[i] == 0) {
         op.kind = Op::Kind::kRead;
         const std::size_t r = rng.next_below(pinned.size() + unpinned.size());
         op.name = r < pinned.size() ? pinned[r]
@@ -303,13 +338,22 @@ ScreenWorkload make_screen_workload(std::uint64_t seed,
         w.ops.push_back(std::move(op));
         continue;
       }
-      if (next == cycle.size()) {
-        cycle = permutation(w.pool.size(), rng);
-        next = 0;
+      if (slots[i] == 1) {
+        op.input = probe_cycle.take(rng);
+        op.name = kProbeName;
+        const auto old = std::find_if(
+            unpinned.rbegin(), unpinned.rend(),
+            [](const auto& e) { return e.first == kProbeName; });
+        if (old != unpinned.rend()) {
+          --resident[old->second];
+          unpinned.erase(std::next(old).base());
+        }
+      } else {
+        op.input = regular_cycle.take(rng);
+        op.name = "sub" + std::to_string(w.ops.size()) + ":" +
+                  w.pool_families[op.input];
       }
-      op.input = cycle[next++];
       op.family = w.pool_families[op.input];
-      op.name = "sub" + std::to_string(w.ops.size()) + ":" + op.family;
       op.truth = resident[op.family] > 0;
       ++resident[op.family];
       unpinned.emplace_back(op.name, op.family);

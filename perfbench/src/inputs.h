@@ -23,7 +23,8 @@ struct Trained {
   gnn4ip::gnn::Hw2Vec model;
   float delta = 0.5F;
 };
-[[nodiscard]] Trained train_model();
+/// `threads` is the trainer's worker count; the weights do not depend on it.
+[[nodiscard]] Trained train_model(std::size_t threads);
 
 struct Design {
   std::string name;
@@ -46,8 +47,9 @@ struct Op {
   bool truth = false;
 };
 
-/// rtl_audit: a pinned library of one instance per family, a pool of
-/// held-out Verilog designs, and the op stream over it.
+/// rtl_audit: a pinned library of one instance per family (one RTL or
+/// netlist family in four held out), a pool of held-out Verilog designs,
+/// and the op stream over it.
 struct RtlWorkload {
   std::vector<Design> library;
   std::vector<Design> pool;
@@ -61,9 +63,14 @@ struct RtlWorkload {
                                             std::size_t warmup_ops,
                                             std::size_t timed_ops);
 
+/// Name under which every screen-workload probe (a design of a family
+/// that never enters the library) is submitted.
+inline constexpr const char* kProbeName = "probe";
+
 /// resident_screen / remote_screen: a library of `library_rows` rows over
 /// a pool of distinct compiled designs, a pool of held-out pre-featurized
-/// submissions, and the 4:1 submit/read op stream.
+/// submissions, and the op stream: blocks of one read, one probe and three
+/// regular submissions.
 struct ScreenWorkload {
   struct Row {
     std::string name;
@@ -79,10 +86,11 @@ struct ScreenWorkload {
   std::size_t warmup = 0;  // leading ops run before timing starts
   std::size_t max_resident = 0;
 };
-/// Whole blocks of four submissions and one read, as for rtl_audit.
+/// Whole blocks, as for rtl_audit; the pools compile on `threads` workers.
 [[nodiscard]] ScreenWorkload make_screen_workload(std::uint64_t seed,
                                                   std::size_t warmup_ops,
                                                   std::size_t timed_ops,
-                                                  std::size_t library_rows);
+                                                  std::size_t library_rows,
+                                                  std::size_t threads);
 
 }  // namespace perfbench

@@ -3,16 +3,16 @@
 //   rtl_verdict_bench --workload rtl_audit|resident_screen|remote_screen
 //                     --seed N --seconds S --trace 0|1
 //                     --shardd PATH --state-dir DIR
-//                     [--ops N] [--library-rows N] [--setup-reps N]
-//                     [--check-ops N] [--op-timeout-ms N]
+//                     [--ops N] [--library-rows N] [--op-timeout-ms N]
 //                     [--kill-server-at OP] [--stop-server-at OP]
 //
 // Each run does a fixed amount of work: the op count is S times the
 // workload's nominal rate (or --ops), and the ops are the same seeded
 // sequence every time. A warm-up prefix of that sequence runs before
-// timing starts; all set-up (model training, input generation, library
-// fill, server spawn) happens before it. One client thread drives a
-// closed loop; the corpus uses at most two worker threads.
+// timing starts; the set-up it uses (model training, input generation,
+// library fill, server spawn) happens before it, and setup_s is the median
+// of five set-ups, three before the timed phase and two after. One client
+// thread drives a closed loop; the corpus uses at most two worker threads.
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 replays the same
 // ops twice, untraced and traced, and prints the per-layer metrics from
@@ -41,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "audit/audit_service.h"
@@ -79,8 +80,6 @@ struct Args {
   std::string state_dir;
   std::size_t ops = 0;  // 0 = seconds x nominal rate
   std::size_t library_rows = 10000;
-  int setup_reps = 3;
-  std::size_t check_ops = 0;  // 0 = workload default
   unsigned op_timeout_ms = 10000;
   long kill_server_at = -1;
   long stop_server_at = -1;
@@ -132,10 +131,6 @@ Args parse_args(int argc, char** argv) {
       a.ops = static_cast<std::size_t>(number());
     } else if (flag == "--library-rows") {
       a.library_rows = static_cast<std::size_t>(number());
-    } else if (flag == "--setup-reps") {
-      a.setup_reps = std::max(1, static_cast<int>(number()));
-    } else if (flag == "--check-ops") {
-      a.check_ops = static_cast<std::size_t>(number());
     } else if (flag == "--op-timeout-ms") {
       a.op_timeout_ms = static_cast<unsigned>(number());
     } else if (flag == "--kill-server-at") {
@@ -243,6 +238,37 @@ struct Inputs {
     return rtl ? rtl->warmup : screen->warmup;
   }
 };
+
+/// Family of every library name; run_pass adds each submission's.
+std::unordered_map<std::string, std::string> library_families(
+    const Inputs& inputs) {
+  std::unordered_map<std::string, std::string> family;
+  if (inputs.rtl) {
+    for (const Design& d : inputs.rtl->library) family[d.name] = d.family;
+  } else {
+    const ScreenWorkload& w = *inputs.screen;
+    for (const ScreenWorkload::Row& row : w.rows) {
+      family[row.name] = w.library_families[row.design];
+    }
+  }
+  return family;
+}
+
+/// A verdict is right when it flags a design that has a resident relative
+/// and its best match is of the design's own family, or when it flags
+/// nothing for a design that has none. A model that flags nothing scores
+/// the share of negatives; one that flags everything scores at most the
+/// share of positives, and less the more often its best match is of
+/// another family.
+bool verdict_correct(
+    const Op& op, const audit::ScreenReport& report,
+    const std::unordered_map<std::string, std::string>& family) {
+  const bool flagged = !report.verdicts.empty();
+  if (!op.truth) return !flagged;
+  if (!flagged || !report.best) return false;
+  const auto it = family.find(report.best->matched);
+  return it != family.end() && it->second == op.family;
+}
 
 gnn::GraphTensors fresh_copy(const gnn::GraphTensors& t) {
   gnn::GraphTensors copy = t;
@@ -379,6 +405,8 @@ struct PassResult {
   std::size_t failed = 0;
   std::size_t screened = 0;  // timed submissions that returned a report
   std::size_t agree = 0;     // ... whose verdict matched ground truth
+  std::size_t negatives = 0;        // ... with no resident relative
+  std::size_t agree_negatives = 0;  // ... that flagged nothing
   double wall_s = 0;         // timed phase
   double cpu_s = 0;          // process CPU in the timed phase
   Digest digest;             // every op
@@ -487,6 +515,7 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
     watchdog = std::make_unique<Watchdog>(*inst.servers, args.op_timeout_ms);
   }
   r.latency_ms.reserve(n);
+  std::unordered_map<std::string, std::string> family = library_families(inputs);
   Clock::time_point wall0;
   double cpu0 = 0;
   std::vector<gnn4ip::dfg::SignalDriver> drivers;
@@ -520,7 +549,6 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
       }
     }
     bool ok = false;
-    bool flagged = false;
     audit::ScreenReport report;
     std::vector<audit::Verdict> read;
     drivers.clear();
@@ -558,7 +586,6 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
             }
           }
         }
-        flagged = !report.verdicts.empty();
       }
     } catch (const std::exception& e) {
       if (r.failed == 0) {
@@ -592,9 +619,15 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
       r.latency_ms.push_back(ms);
       if (op.kind == Op::Kind::kSubmit) {
         ++r.screened;
-        if (flagged == op.truth) ++r.agree;
+        const bool correct = verdict_correct(op, report, family);
+        if (correct) ++r.agree;
+        if (!op.truth) {
+          ++r.negatives;
+          if (correct) ++r.agree_negatives;
+        }
       }
     }
+    if (ok && report.submission.accepted) family[op.name] = op.family;
     if (i + 1 == po.check_ops) r.prefix_digest = r.digest.hex();
   }
   if (n > warmup) {
@@ -692,6 +725,8 @@ void print_result(bool correct, std::size_t attempted, std::size_t failed,
 
 /// Every run of a workload class on one seed and size must reproduce the
 /// first run's digest; resident_screen and remote_screen share a class.
+/// The store lives in --state-dir, which the runner names after a hash of
+/// the sources, so a change to the code starts a fresh store.
 void check_digest_store(const Args& args, std::size_t ops,
                         const std::string& digest) {
   namespace fs = std::filesystem;
@@ -873,49 +908,52 @@ std::vector<Metric> per_layer_metrics(const Args& args, const Tracer& tracer,
 }
 
 int run(const Args& args) {
-  // One CPU per thread the workload keeps busy (see pin_to_last_cpus).
-  pin_to_last_cpus(args.workload == Workload::kResidentScreen ? 2 : 1);
+  // One CPU per thread the workload keeps busy (see pin_to_last_cpus);
+  // set-up runs as many worker threads as it has CPUs, so none contend.
+  const int cpus = args.workload == Workload::kResidentScreen ? 2 : 1;
+  pin_to_last_cpus(cpus);
+  const auto setup_threads = static_cast<std::size_t>(cpus);
   // Nominal ops per second of --seconds on the reference host; the op
-  // count is fixed by it, so every run does the same work.
-  std::size_t rate = 0;
-  std::size_t warmup_target = 0;
-  std::size_t check_default = 0;
-  switch (args.workload) {
-    case Workload::kRtlAudit: rate = 1650; warmup_target = 120; check_default = 300; break;
-    case Workload::kResidentScreen: rate = 600; warmup_target = 100; check_default = 100; break;
-    case Workload::kRemoteScreen: rate = 500; warmup_target = 100; check_default = 100; break;
-  }
+  // count is fixed by it, so every run does the same work. Both screen
+  // workloads run the same op stream, so their digests must agree.
+  const bool rtl = args.workload == Workload::kRtlAudit;
+  const std::size_t rate = rtl ? 1650 : 600;
+  std::size_t warmup_target = rtl ? 120 : 100;
+  const std::size_t check_default = rtl ? 300 : 100;
   const std::size_t timed_target =
       args.ops > 0 ? args.ops
                    : static_cast<std::size_t>(args.seconds * static_cast<double>(rate));
   if (args.ops > 0) warmup_target = std::max<std::size_t>(args.ops / 10, 10);
 
-  // ---- Set-up (timed): train, generate, featurize, fill, spawn.
+  // ---- Set-up (timed): train, generate, featurize, fill, spawn. The
+  // last of the repetitions before the timed phase is the one measured;
+  // setup_s is the median of those and of the ones after it, so it spans
+  // the run rather than the host's state in its first seconds.
   std::vector<double> setup_s;
   std::optional<Trained> trained;
   Inputs inputs;
   Instance inst;
-  const int reps = args.trace ? 1 : args.setup_reps;
-  for (int rep = 0; rep < reps; ++rep) {
+  const auto set_up = [&] {
     teardown(inst);  // reap the previous repetition's servers untimed
     inputs = Inputs{};
     trained.reset();
     const Clock::time_point t0 = Clock::now();
-    trained.emplace(train_model());
-    if (args.workload == Workload::kRtlAudit) {
+    trained.emplace(train_model(setup_threads));
+    if (rtl) {
       inputs.rtl.emplace(
           make_rtl_workload(args.seed, warmup_target, timed_target));
     } else {
-      inputs.screen.emplace(make_screen_workload(
-          args.seed, warmup_target, timed_target, args.library_rows));
+      inputs.screen.emplace(make_screen_workload(args.seed, warmup_target,
+                                                 timed_target, args.library_rows,
+                                                 setup_threads));
     }
     inst = make_instance(args, *trained, inputs, Flavor::kMeasured, nullptr);
     setup_s.push_back(seconds_since(t0));
-  }
+  };
+  for (int rep = 0; rep < (args.trace ? 1 : 3); ++rep) set_up();
   const std::size_t total = inputs.ops().size();
   const std::size_t warmup = inputs.warmup();
-  const std::size_t check_ops =
-      std::min(total, args.check_ops > 0 ? args.check_ops : check_default);
+  const std::size_t check_ops = std::min(total, check_default);
 
   Tracer untraced_tracer(false);
   PassOptions po;
@@ -931,7 +969,7 @@ int run(const Args& args) {
     Instance traced_inst =
         make_instance(args, *trained, inputs, Flavor::kMeasured, &tracer);
     PassOptions tpo = po;
-    tpo.via_modules = args.workload == Workload::kRtlAudit;
+    tpo.via_modules = rtl;
     const PassResult traced =
         run_pass(args, inputs, traced_inst, tracer, tpo, warmup);
     teardown(traced_inst);
@@ -962,7 +1000,7 @@ int run(const Args& args) {
     Instance ref =
         make_instance(args, *trained, inputs, Flavor::kReference, nullptr);
     PassOptions rpo;
-    rpo.via_modules = args.workload == Workload::kRtlAudit;
+    rpo.via_modules = rtl;
     rpo.stop_after = check_ops;
     rpo.check_ops = check_ops;
     const PassResult reference = run_pass(args, inputs, ref, off, rpo, check_ops);
@@ -973,6 +1011,8 @@ int run(const Args& args) {
     }
   }
   if (main.failed == 0) check_digest_store(args, total, main.digest.hex());
+  for (int rep = 0; rep < 2; ++rep) set_up();
+  teardown(inst);
 
   std::vector<double> sorted_setup = setup_s;
   std::sort(sorted_setup.begin(), sorted_setup.end());
@@ -986,7 +1026,12 @@ int run(const Args& args) {
   for (std::size_t i = 0; i < setup_s.size(); ++i) {
     std::printf("%s%.4f", i > 0 ? ", " : "", setup_s[i]);
   }
-  std::printf("], \"digest\": \"%s\"}}\n", main.digest.hex().c_str());
+  // A model that flags nothing scores negatives / screened; one that
+  // flags everything scores at most 1 minus that.
+  std::printf("], \"screened\": %zu, \"negatives\": %zu, "
+              "\"agree_on_negatives\": %zu, \"digest\": \"%s\"}}\n",
+              main.screened, main.negatives, main.agree_negatives,
+              main.digest.hex().c_str());
 
   const double timed_ops = static_cast<double>(total - warmup);
   const std::vector<Metric> metrics = {
