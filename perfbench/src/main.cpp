@@ -13,6 +13,8 @@
 // library fill, server spawn) happens before it, and setup_s is the median
 // of five set-ups, three before the timed phase and two after. One client
 // thread drives a closed loop; the corpus uses at most two worker threads.
+// The end-to-end timings are scaled to the reference host speed by a
+// calibration kernel sampled between ops (see host_speed.h).
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 replays the same
 // ops twice, untraced and traced, and prints the per-layer metrics from
@@ -52,6 +54,7 @@
 #include "dist/dist_corpus.h"
 #include "gnn/featurize.h"
 #include "gnn/model_io.h"
+#include "host_speed.h"
 #include "inputs.h"
 #include "shardd.h"
 #include "trace.h"
@@ -407,8 +410,9 @@ struct PassResult {
   std::size_t agree = 0;     // ... whose verdict matched ground truth
   std::size_t negatives = 0;        // ... with no resident relative
   std::size_t agree_negatives = 0;  // ... that flagged nothing
-  double wall_s = 0;         // timed phase
-  double cpu_s = 0;          // process CPU in the timed phase
+  double wall_s = 0;         // timed phase, calibration left out
+  double cpu_s = 0;          // process CPU in the timed phase, likewise
+  double host_ms = 0;        // median calibration kernel time in it
   Digest digest;             // every op
   std::string prefix_digest;  // after the first check_ops ops
   // remote only: shard server and loopback counters over the timed phase
@@ -503,9 +507,11 @@ struct PassOptions {
 };
 
 PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
-                    Tracer& tracer, const PassOptions& po,
+                    Tracer& tracer, HostSpeed& speed, const PassOptions& po,
                     std::size_t warmup) {
   PassResult r;
+  // Host-speed samples about every 10 ms of ops.
+  const std::size_t calibrate_every = inputs.rtl ? 32 : 8;
   const std::vector<Op>& ops = inputs.ops();
   const std::size_t n = po.stop_after == 0 ? ops.size()
                                            : std::min(po.stop_after, ops.size());
@@ -525,6 +531,7 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
       tracer.mark_timed_start();
       r.servers_before = sum_stats(inst);
       if (inst.servers) r.net_before = read_net_stats();
+      speed.clear();
       cpu0 = process_cpu_s();
       wall0 = Clock::now();
     }
@@ -629,10 +636,12 @@ PassResult run_pass(const Args& args, const Inputs& inputs, Instance& inst,
     }
     if (ok && report.submission.accepted) family[op.name] = op.family;
     if (i + 1 == po.check_ops) r.prefix_digest = r.digest.hex();
+    if (timed && (i - warmup) % calibrate_every == 0) speed.sample();
   }
   if (n > warmup) {
-    r.wall_s = seconds_since(wall0);
-    r.cpu_s = process_cpu_s() - cpu0;
+    r.wall_s = seconds_since(wall0) - speed.spent_s();
+    r.cpu_s = process_cpu_s() - cpu0 - speed.spent_s();
+    r.host_ms = speed.median_ms();
     r.servers_after = sum_stats(inst);
     if (inst.servers) r.net_after = read_net_stats();
     r.frontend_rss_mb = read_proc_stats(0).rss_mb;
@@ -929,7 +938,9 @@ int run(const Args& args) {
   // last of the repetitions before the timed phase is the one measured;
   // setup_s is the median of those and of the ones after it, so it spans
   // the run rather than the host's state in its first seconds.
-  std::vector<double> setup_s;
+  std::vector<double> setup_s;      // scaled to the reference host speed
+  std::vector<double> setup_raw_s;  // as measured
+  HostSpeed speed;
   std::optional<Trained> trained;
   Inputs inputs;
   Instance inst;
@@ -937,6 +948,8 @@ int run(const Args& args) {
     teardown(inst);  // reap the previous repetition's servers untimed
     inputs = Inputs{};
     trained.reset();
+    speed.clear();
+    speed.sample(64);
     const Clock::time_point t0 = Clock::now();
     trained.emplace(train_model(setup_threads));
     if (rtl) {
@@ -948,7 +961,9 @@ int run(const Args& args) {
                                                  setup_threads));
     }
     inst = make_instance(args, *trained, inputs, Flavor::kMeasured, nullptr);
-    setup_s.push_back(seconds_since(t0));
+    setup_raw_s.push_back(seconds_since(t0));
+    speed.sample(64);
+    setup_s.push_back(setup_raw_s.back() * speed.scale());
   };
   for (int rep = 0; rep < (args.trace ? 1 : 3); ++rep) set_up();
   const std::size_t total = inputs.ops().size();
@@ -958,7 +973,8 @@ int run(const Args& args) {
   Tracer untraced_tracer(false);
   PassOptions po;
   po.check_ops = check_ops;
-  PassResult main = run_pass(args, inputs, inst, untraced_tracer, po, warmup);
+  PassResult main =
+      run_pass(args, inputs, inst, untraced_tracer, speed, po, warmup);
   const ProcStats self = read_proc_stats(0);
   const ProcStats servers = sum_stats(inst);
   const double peak_rss_mb = self.peak_rss_mb + servers.peak_rss_mb;
@@ -971,7 +987,7 @@ int run(const Args& args) {
     PassOptions tpo = po;
     tpo.via_modules = rtl;
     const PassResult traced =
-        run_pass(args, inputs, traced_inst, tracer, tpo, warmup);
+        run_pass(args, inputs, traced_inst, tracer, speed, tpo, warmup);
     teardown(traced_inst);
     if (traced.digest.hex() != main.digest.hex()) {
       digest_error("traced replay " + traced.digest.hex() + " != untraced " +
@@ -1003,7 +1019,8 @@ int run(const Args& args) {
     rpo.via_modules = rtl;
     rpo.stop_after = check_ops;
     rpo.check_ops = check_ops;
-    const PassResult reference = run_pass(args, inputs, ref, off, rpo, check_ops);
+    const PassResult reference =
+        run_pass(args, inputs, ref, off, speed, rpo, check_ops);
     if (main.failed == 0 && reference.prefix_digest != main.prefix_digest) {
       digest_error("first " + std::to_string(check_ops) + " ops: " +
                    main.prefix_digest + " != reference " +
@@ -1017,27 +1034,43 @@ int run(const Args& args) {
   std::vector<double> sorted_setup = setup_s;
   std::sort(sorted_setup.begin(), sorted_setup.end());
   const double p_tail = tail_percentile(main.latency_ms.size());
-  std::printf("{\"info\": {\"workload\": \"%s\", \"seed\": %llu, "
-              "\"timed_ops\": %zu, \"warmup_ops\": %zu, \"samples\": %zu, "
-              "\"tail_percentile\": %.1f, \"setup_runs_s\": [",
-              args.workload_name.c_str(),
-              static_cast<unsigned long long>(args.seed), total - warmup,
-              warmup, main.latency_ms.size(), 100.0 * p_tail);
-  for (std::size_t i = 0; i < setup_s.size(); ++i) {
-    std::printf("%s%.4f", i > 0 ? ", " : "", setup_s[i]);
-  }
+  const double timed_ops = static_cast<double>(total - warmup);
+  const double throughput = main.wall_s > 0 ? timed_ops / main.wall_s : 0.0;
+  const double p50 = percentile(main.latency_ms, 0.5);
+  const double tail = percentile(main.latency_ms, p_tail);
+  // Timings are reported at the reference host speed (see host_speed.h);
+  // the info line keeps them as measured.
+  const double scale = HostSpeed::kReferenceMs / main.host_ms;
+  const auto list = [](const std::vector<double>& v) {
+    std::string out;
+    char buf[32];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      std::snprintf(buf, sizeof buf, "%s%.4f", i > 0 ? ", " : "", v[i]);
+      out += buf;
+    }
+    return out;
+  };
   // A model that flags nothing scores negatives / screened; one that
   // flags everything scores at most 1 minus that.
-  std::printf("], \"screened\": %zu, \"negatives\": %zu, "
+  std::printf("{\"info\": {\"workload\": \"%s\", \"seed\": %llu, "
+              "\"timed_ops\": %zu, \"warmup_ops\": %zu, \"samples\": %zu, "
+              "\"tail_percentile\": %.1f, \"host_kernel_ms\": %.5f, "
+              "\"host_scale\": %.4f, \"measured\": {\"throughput_per_s\": "
+              "%.2f, \"latency_p50_ms\": %.5f, \"latency_tail_ms\": %.5f, "
+              "\"setup_runs_s\": [%s]}, \"setup_runs_scaled_s\": [%s], "
+              "\"screened\": %zu, \"negatives\": %zu, "
               "\"agree_on_negatives\": %zu, \"digest\": \"%s\"}}\n",
-              main.screened, main.negatives, main.agree_negatives,
-              main.digest.hex().c_str());
+              args.workload_name.c_str(),
+              static_cast<unsigned long long>(args.seed), total - warmup,
+              warmup, main.latency_ms.size(), 100.0 * p_tail, main.host_ms,
+              scale, throughput, p50, tail, list(setup_raw_s).c_str(),
+              list(setup_s).c_str(), main.screened, main.negatives,
+              main.agree_negatives, main.digest.hex().c_str());
 
-  const double timed_ops = static_cast<double>(total - warmup);
   const std::vector<Metric> metrics = {
-      {"throughput_per_s", main.wall_s > 0 ? timed_ops / main.wall_s : 0.0, "1/s"},
-      {"latency_p50_ms", percentile(main.latency_ms, 0.5), "ms"},
-      {"latency_tail_ms", percentile(main.latency_ms, p_tail), "ms"},
+      {"throughput_per_s", throughput / scale, "1/s"},
+      {"latency_p50_ms", p50 * scale, "ms"},
+      {"latency_tail_ms", tail * scale, "ms"},
       {"piracy_accuracy",
        main.screened > 0 ? static_cast<double>(main.agree) /
                                static_cast<double>(main.screened)
