@@ -187,6 +187,7 @@ BENCHMARK(BM_TrainEpoch)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_EmbedCorpus(benchmark::State& state) {
@@ -206,6 +207,7 @@ BENCHMARK(BM_EmbedCorpus)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Cold-cache variant of the single-thread corpus embed: the pooled
@@ -316,6 +318,7 @@ BENCHMARK(BM_AuditSubmit)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The audit loop across shard counts: identical work to BM_AuditSubmit
@@ -349,6 +352,7 @@ BENCHMARK(BM_ShardedScreen)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The async front end per batch: 8 submissions handed to the
@@ -425,6 +429,7 @@ BENCHMARK(BM_ConcurrentScreen)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // One durable round trip across shard counts: save_corpus writes the
@@ -578,6 +583,65 @@ BENCHMARK(BM_ShardedScreen10k)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// top_k(i, 10) of a resident row against a 10k-row variant corpus (2
+// shards, shared pool), exhaustive (Arg 0) vs prefiltered (Arg 1); the
+// query rotates through the corpus. Rankings are bit-identical across
+// the two Args (kernel_test pins it).
+void BM_TopK10k(benchmark::State& state) {
+  constexpr std::size_t kResident = 10'000;
+  core::ScorerOptions options;
+  options.int8_prefilter = state.range(0) != 0;
+  core::ShardedCorpus corpus(2, options);
+  fill_variant_corpus(corpus, kResident, /*seed=*/5);
+  std::size_t query = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(corpus.top_k(query, 10));
+    query = (query + 7919) % kResident;
+  }
+  state.counters["resident"] = static_cast<double>(kResident);
+  state.counters["prefilter"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_TopK10k)->Arg(0)->Arg(1)->UseRealTime();
+
+// One resident-cache commit at 10k residents, the shape of the
+// resident_screen benchmark's commits (2 shards x 2 threads, int8
+// prefilter): a new name is embedded, admitted and screened, the
+// coldest resident is evicted, and the corpus compacts and remaps the
+// name index. The 64 corpus designs are resident under ~156 names each.
+// The model is untrained, so nearly every pair scores above 0.5; δ =
+// 0.99 keeps the flags near the benchmark's few hundred per screen
+// (the `flagged` counter), so verdict building does not swamp the
+// bookkeeping this bench is for.
+void BM_CommitEvict10k(benchmark::State& state) {
+  constexpr std::size_t kResident = 10'000;
+  const std::vector<train::GraphEntry>& entries = scoring_corpus();
+  gnn::Hw2Vec model;
+  audit::AuditOptions options;
+  options.num_shards = 2;
+  options.max_resident = kResident;
+  options.scorer.num_threads = 2;
+  options.scorer.int8_prefilter = true;
+  options.scorer.delta = 0.99F;
+  audit::AuditService service(model, options);
+  for (std::size_t i = 0; i < kResident; ++i) {
+    const std::string name = "resident#" + std::to_string(i);
+    (void)service.add_library(name, entries[i % entries.size()].tensors);
+    service.unpin(name);
+  }
+  std::size_t next = 0;
+  std::size_t flagged = 0;
+  for (auto _ : state) {
+    const train::GraphEntry& entry = entries[next % entries.size()];
+    benchmark::DoNotOptimize(
+        service.submit("incoming#" + std::to_string(next++), entry.tensors));
+    flagged += service.screen().front().verdicts.size();
+  }
+  state.counters["resident"] = static_cast<double>(service.resident());
+  state.counters["flagged"] = static_cast<double>(flagged) /
+                              static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CommitEvict10k)->UseRealTime();
+
 // --- Distributed screening over real loopback TCP. ---
 //
 // BM_RemoteScreen is the wire-path counterpart of BM_ShardedScreen10k:
@@ -626,6 +690,7 @@ void BM_RemoteScreen(benchmark::State& state) {
 BENCHMARK(BM_RemoteScreen)
     ->Arg(1)
     ->Arg(2)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_BaselineWl(benchmark::State& state) {

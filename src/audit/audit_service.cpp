@@ -197,18 +197,43 @@ void AuditService::commit_end() {
   commit_cv_.notify_all();
 }
 
+std::size_t AuditService::find_index(const std::string& name) const {
+  const auto it = name_slot_.find(name);
+  return it == name_slot_.end() ? core::ShardedCorpus::kNoIndex
+                                : index_by_slot_[it->second];
+}
+
+void AuditService::bind(const std::string& name, std::size_t index) {
+  std::size_t slot = index_by_slot_.size();
+  if (free_slots_.empty()) {
+    index_by_slot_.push_back(index);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    index_by_slot_[slot] = index;
+  }
+  name_slot_.emplace(name, slot);
+}
+
+void AuditService::unbind(const std::string& name) {
+  const auto it = name_slot_.find(name);
+  index_by_slot_[it->second] = core::ShardedCorpus::kNoIndex;
+  free_slots_.push_back(it->second);
+  name_slot_.erase(it);
+}
+
 std::size_t AuditService::admit(const std::string& name,
                                 const tensor::Matrix& embedding) {
-  const auto it = index_by_name_.find(name);
-  if (it != index_by_name_.end()) {
+  const std::size_t old = find_index(name);
+  if (old != core::ShardedCorpus::kNoIndex) {
     // Resubmission replaces the resident row; the pin (if any) follows
     // the name onto the fresh row.
-    corpus_->remove(it->second);
+    corpus_->remove(old);
     policy_->erase(name);
-    index_by_name_.erase(it);
+    unbind(name);
   }
   const std::size_t index = corpus_->add(name, embedding);
-  index_by_name_[name] = index;
+  bind(name, index);
   policy_->touch(name);
   return index;
 }
@@ -220,9 +245,9 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
   // out individually.
   const auto evict =
       [this](const std::string& victim) GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
-        corpus_->remove(index_by_name_.at(victim));
+        corpus_->remove(find_index(victim));
         policy_->erase(victim);
-        index_by_name_.erase(victim);
+        unbind(victim);
       };
   if (options_.max_resident > 0) {
     while (corpus_->live_count() > options_.max_resident) {
@@ -246,8 +271,8 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
             policy_->victim([this, s](const std::string& n)
                                 GNN4IP_NO_THREAD_SAFETY_ANALYSIS {
                                   return pinned_.count(n) == 0 &&
-                                         corpus_->shard_of(
-                                             index_by_name_.at(n)) == s;
+                                         corpus_->shard_of(find_index(n)) ==
+                                             s;
                                 });
         if (!victim) break;  // the shard holds only pinned library IP
         evict(*victim);
@@ -260,9 +285,10 @@ std::vector<std::size_t> AuditService::enforce_capacity_and_compact() {
   // empty mapping means identity to the callers.
   if (corpus_->live_count() == corpus_->size()) return {};
   const std::vector<std::size_t> mapping = corpus_->compact();
-  // lint:allow(unordered-iter): independent per-entry remap — no
-  // cross-entry arithmetic, so iteration order cannot leak into state.
-  for (auto& [name, index] : index_by_name_) {
+  // One sequential pass over the slot table; the hash map keeps its
+  // name → slot values. Free slots hold kNoIndex and stay free.
+  for (std::size_t& index : index_by_slot_) {
+    if (index == core::ShardedCorpus::kNoIndex) continue;
     index = mapping[index];
     GNN4IP_ENSURE(index != core::ShardedCorpus::kNoIndex,
                   "AuditService: live entry lost in compaction");
@@ -295,7 +321,7 @@ Submission AuditService::add_library(std::string name,
   commit_begin(ticket);
   try {
     util::WriterLock state(state_mu_);
-    const bool replaced = index_by_name_.count(s.name) != 0;
+    const bool replaced = name_slot_.count(s.name) != 0;
     const std::size_t row = admit(s.name, embedding);
     pinned_.insert(s.name);
     s.accepted = true;
@@ -355,7 +381,7 @@ void AuditService::commit_one(std::size_t ticket, const std::string& name,
                               std::vector<ScreenReport>* prior,
                               std::size_t prior_count) {
   util::WriterLock state(state_mu_);
-  const bool replaced = index_by_name_.count(name) != 0;
+  const bool replaced = name_slot_.count(name) != 0;
   const std::size_t row = admit(name, embedding);
   if (admission_log_) {
     admission_log_->append({ticket, name, replaced, /*pinned=*/false});
@@ -492,11 +518,11 @@ std::vector<Verdict> AuditService::top_k(const std::string& name,
   // and renumber) wait, concurrent readers overlap, so the index stays
   // valid across the corpus scan below.
   util::ReaderLock state(state_mu_);
-  const auto it = index_by_name_.find(name);
-  GNN4IP_ENSURE(it != index_by_name_.end(),
+  const std::size_t index = find_index(name);
+  GNN4IP_ENSURE(index != core::ShardedCorpus::kNoIndex,
                 "AuditService::top_k: '" + name + "' is not resident");
   std::vector<Verdict> result;
-  for (const core::PairScore& p : corpus_->top_k(it->second, k)) {
+  for (const core::PairScore& p : corpus_->top_k(index, k)) {
     Verdict v;
     v.matched = corpus_->name(p.b);
     v.corpus_index = p.b;
@@ -519,7 +545,7 @@ void AuditService::save_corpus(const std::string& dir) {
     // cannot round-trip, so refuse to write a snapshot that a later
     // load_corpus would misparse.
     // lint:allow(unordered-iter): pure validation scan; order-free.
-    for (const auto& [nm, idx] : index_by_name_) {
+    for (const auto& [nm, slot] : name_slot_) {
       if (nm.find('\n') != std::string::npos) {
         throw core::SnapshotIoError(
             "resident name contains a newline; not representable in the "
@@ -528,9 +554,11 @@ void AuditService::save_corpus(const std::string& dir) {
     }
     corpus_->save(dir, model_fingerprint_);
     std::vector<std::pair<std::size_t, std::string>> entries;
-    entries.reserve(index_by_name_.size());
+    entries.reserve(name_slot_.size());
     // lint:allow(unordered-iter): entries are sorted before writing.
-    for (const auto& [nm, idx] : index_by_name_) entries.emplace_back(idx, nm);
+    for (const auto& [nm, slot] : name_slot_) {
+      entries.emplace_back(index_by_slot_[slot], nm);
+    }
     std::sort(entries.begin(), entries.end());
     std::vector<std::string> sorted_pins(pinned_.begin(), pinned_.end());
     std::sort(sorted_pins.begin(), sorted_pins.end());
@@ -579,8 +607,18 @@ void AuditService::load_corpus(const std::string& dir) {
           " resident entries but the corpus snapshot holds " +
           std::to_string(fresh->live_count()) + " live rows");
     }
-    std::unordered_map<std::string, std::size_t> index;
-    index.reserve(persisted.entries.size());
+    // Slots are assigned in ascending global index, the order of the
+    // sorted entries — which is also the recency rebuild order: in a
+    // snapshot, index order IS admission order (admits append,
+    // replacements re-append, compaction preserves relative order), so
+    // touching survivors in this order reproduces exactly the recency a
+    // never-restarted service would hold — evictions after a warm
+    // restart pick the same victims.
+    std::sort(persisted.entries.begin(), persisted.entries.end());
+    std::unordered_map<std::string, std::size_t> name_slot;
+    name_slot.reserve(persisted.entries.size());
+    std::vector<std::size_t> index_by_slot;
+    index_by_slot.reserve(persisted.entries.size());
     for (const auto& [idx, nm] : persisted.entries) {
       if (idx >= fresh->size() || !fresh->live(idx)) {
         throw core::SnapshotManifestError(
@@ -592,32 +630,28 @@ void AuditService::load_corpus(const std::string& dir) {
             "service state names index " + std::to_string(idx) + " '" + nm +
             "' but the corpus row is named '" + fresh->name(idx) + "'");
       }
-      if (!index.emplace(nm, idx).second) {
+      if (!name_slot.emplace(nm, index_by_slot.size()).second) {
         throw core::SnapshotManifestError(
             "service state lists resident name '" + nm + "' twice");
       }
+      index_by_slot.push_back(idx);
     }
     std::unordered_set<std::string> pins;
     pins.reserve(persisted.pins.size());
     for (const std::string& p : persisted.pins) {
-      if (index.count(p) == 0) {
+      if (name_slot.count(p) == 0) {
         throw core::SnapshotManifestError("service state pins '" + p +
                                           "', which is not resident");
       }
       pins.insert(p);
     }
-    // Recency rebuild order: ascending global index. In a snapshot,
-    // index order IS admission order (admits append, replacements
-    // re-append, compaction preserves relative order), so touching
-    // survivors in this order reproduces exactly the recency a
-    // never-restarted service would hold — evictions after a warm
-    // restart pick the same victims.
-    std::sort(persisted.entries.begin(), persisted.entries.end());
     util::WriterLock state(state_mu_);
     // lint:allow(unordered-iter): erases are commutative; order-free.
-    for (const auto& [nm, idx] : index_by_name_) policy_->erase(nm);
+    for (const auto& [nm, slot] : name_slot_) policy_->erase(nm);
     corpus_ = std::move(fresh);
-    index_by_name_ = std::move(index);
+    name_slot_ = std::move(name_slot);
+    index_by_slot_ = std::move(index_by_slot);
+    free_slots_.clear();
     pinned_ = std::move(pins);
     // The restored corpus adopts the snapshot's shard count; keep the
     // options in sync so callers introspect the truth.
@@ -632,7 +666,7 @@ void AuditService::load_corpus(const std::string& dir) {
 
 void AuditService::pin(const std::string& name) {
   util::WriterLock state(state_mu_);
-  GNN4IP_ENSURE(index_by_name_.count(name) != 0,
+  GNN4IP_ENSURE(name_slot_.count(name) != 0,
                 "AuditService::pin: '" + name + "' is not resident");
   pinned_.insert(name);
 }
@@ -649,14 +683,21 @@ bool AuditService::pinned(const std::string& name) const {
 
 bool AuditService::contains(const std::string& name) const {
   util::ReaderLock state(state_mu_);
-  return index_by_name_.count(name) != 0;
+  return name_slot_.count(name) != 0;
 }
 
 std::size_t AuditService::index_of(const std::string& name) const {
   util::ReaderLock state(state_mu_);
-  const auto it = index_by_name_.find(name);
-  return it == index_by_name_.end() ? core::ShardedCorpus::kNoIndex
-                                    : it->second;
+  return find_index(name);
+}
+
+AuditService::NameSlots AuditService::name_slots() const {
+  util::ReaderLock state(state_mu_);
+  NameSlots slots;
+  slots.names = name_slot_.size();
+  slots.free = free_slots_.size();
+  slots.table = index_by_slot_.size();
+  return slots;
 }
 
 }  // namespace gnn4ip::audit

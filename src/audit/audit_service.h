@@ -269,6 +269,15 @@ class AuditService {
   /// Current corpus index of a resident entry (kNoIndex when absent).
   [[nodiscard]] std::size_t index_of(const std::string& name) const;
 
+  /// Occupancy of the name index's slot table (see name_slot_ below): a
+  /// table that leaks no slot has names + free == table.
+  struct NameSlots {
+    std::size_t names = 0;  // slots in use, one per resident name
+    std::size_t free = 0;   // free-listed slots
+    std::size_t table = 0;  // slots ever allocated
+  };
+  [[nodiscard]] NameSlots name_slots() const;
+
   [[nodiscard]] std::size_t resident() const {
     util::ReaderLock state(state_mu_);
     return corpus_->live_count();
@@ -316,6 +325,16 @@ class AuditService {
   std::vector<std::size_t> enforce_capacity_and_compact()
       GNN4IP_REQUIRES(state_mu_);
 
+  /// Name-index primitives (caller holds state_mu_; exclusively for
+  /// bind/unbind): a resident name's corpus index or kNoIndex; bind a
+  /// name that is not resident to a slot holding `index`; drop a
+  /// resident name and free-list its slot.
+  [[nodiscard]] std::size_t find_index(const std::string& name) const
+      GNN4IP_REQUIRES_SHARED(state_mu_);
+  void bind(const std::string& name, std::size_t index)
+      GNN4IP_REQUIRES(state_mu_);
+  void unbind(const std::string& name) GNN4IP_REQUIRES(state_mu_);
+
   AuditOptions options_;
   gnn::Hw2Vec model_;
   /// Computed once at construction; snapshots record and validate it.
@@ -337,12 +356,19 @@ class AuditService {
   std::shared_ptr<AdmissionLog> admission_log_;
   util::BoundedQueue<AuditItem> queue_;
 
-  /// Guards index_by_name_/pinned_/policy_: exclusive inside a commit
+  /// Guards the name index/pinned_/policy_: exclusive inside a commit
   /// slot (mutations are already serialized by the turnstile; the lock
   /// exists for the readers), shared in top_k/contains/index_of/pinned.
   mutable util::SharedMutex state_mu_{util::lock_rank::kState};
-  std::unordered_map<std::string, std::size_t> index_by_name_
+  /// The name index. A name maps to a slot whose value never changes
+  /// while the name is resident; the slot's current corpus index lives
+  /// in the dense index_by_slot_, so a compaction remaps one vector in
+  /// a sequential pass instead of rewriting every hash-map node. Freed
+  /// slots hold kNoIndex and are reused from free_slots_.
+  std::unordered_map<std::string, std::size_t> name_slot_
       GNN4IP_GUARDED_BY(state_mu_);
+  std::vector<std::size_t> index_by_slot_ GNN4IP_GUARDED_BY(state_mu_);
+  std::vector<std::size_t> free_slots_ GNN4IP_GUARDED_BY(state_mu_);
   std::unordered_set<std::string> pinned_ GNN4IP_GUARDED_BY(state_mu_);
 
   /// The admission-ticket turnstile: tickets_issued_ is the next ticket

@@ -1,0 +1,237 @@
+#include "core/shard_sweep.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <utility>
+
+namespace gnn4ip::core {
+
+std::vector<StoreScreen> store_screen(const EmbeddingStore& store,
+                                      std::size_t limit,
+                                      std::span<const ScreenProbe> probes,
+                                      float delta, bool prefilter,
+                                      const KernelOps& ops) {
+  std::vector<StoreScreen> out(probes.size());
+  const std::size_t d = store.dim();
+  if (!prefilter) {
+    // Candidate-outer, so each resident row is read once for all probes.
+    for (std::size_t local = 0; local < limit; ++local) {
+      if (!store.live(local)) continue;
+      const float* rb = store.row(local).data();
+      const float norm_b = store.norm(local);
+      for (std::size_t r = 0; r < probes.size(); ++r) {
+        ScreenRow& p = out[r].row;
+        ++p.scanned;
+        ++p.rescored;
+        const float sim =
+            cosine_cell(probes[r].row, rb, d, probes[r].norm * norm_b);
+        if (sim > delta) p.flagged.push_back({local, sim});
+        if (!p.best || sim > p.best->similarity) {
+          p.best = ScreenMatch{local, sim};
+        }
+      }
+    }
+    return out;
+  }
+  // The candidate-side gate stats live in the store's incrementally
+  // maintained SoA, so each probe costs one fused sweep over the
+  // contiguous int8 block and the scalar walks visit only the hit lists
+  // the kernels emit. Dead rows burn a sweep lane but are skipped in the
+  // walks. Every scratch lane is written by the sweep before it is read.
+  const QuantStatsSoa soa = store.quant_stats();
+  std::size_t live_n = 0;
+  for (std::size_t local = 0; local < limit; ++local) {
+    live_n += store.live(local) ? 1 : 0;
+  }
+  const auto dots = std::make_unique_for_overwrite<std::int32_t[]>(limit);
+  const auto num = std::make_unique_for_overwrite<double[]>(limit);
+  const auto den = std::make_unique_for_overwrite<double[]>(limit);
+  const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(limit);
+  const std::int8_t* qbase = limit > 0 ? store.qrow(0).data() : nullptr;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // num ≤ t·den implies exact ≤ t only for t ≥ −1 (the exact cell is
+  // clamped); a sub-range delta disables pruning (−inf: every row is a
+  // hit and rescores — the exact sweep).
+  const double prune_max = delta >= -1.0F ? static_cast<double>(delta) : -kInf;
+  for (std::size_t r = 0; r < probes.size(); ++r) {
+    ScreenRow& p = out[r].row;
+    p.scanned = live_n;
+    if (limit == 0) continue;
+    const ScreenProbe& probe = probes[r];
+    // Pass 1 — the rescore class: every candidate the bounds could not
+    // prune gets the exact cell (flags, best, and a witness for pass 2).
+    const std::size_t n_rescore = ops.quant_screen_sweep(
+        make_sweep_query(probe.gate), probe.gate.q, qbase, d, soa, limit,
+        prune_max, dots.get(), num.get(), den.get(), hits.get());
+    float best_lb = -2.0F;
+    for (std::size_t h = 0; h < n_rescore; ++h) {
+      const std::size_t local = hits[h];
+      if (!store.live(local)) continue;
+      ++p.rescored;
+      const float sim = cosine_cell(probe.row, store.row(local).data(), d,
+                                    probe.norm * soa.normf[local]);
+      if (sim > delta) p.flagged.push_back({local, sim});
+      if (!p.best || sim > p.best->similarity) p.best = ScreenMatch{local, sim};
+      if (sim > best_lb) best_lb = sim;
+    }
+    // Pass 2 — the best band among the pruned: a candidate below the
+    // witness loses strictly to the row that set best_lb, so index
+    // tie-breaks never come into play (−inf below −1 keeps everything).
+    const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
+    double best_lb_d = best_lb;
+    const std::size_t n_band = ops.quant_survivor_scan(
+        num.get(), den.get(), limit, keep_lb, hits.get());
+    for (std::size_t h = 0; h < n_band; ++h) {
+      const std::size_t local = hits[h];
+      if (!store.live(local)) continue;
+      const double nm = num[local];
+      const double dn = den[local];
+      // Skip the rescore class (handled in pass 1), and keep tightening:
+      // candidates below the *running* witness drop unstored.
+      if (nm > prune_max * dn) continue;
+      if (best_lb > -1.0F && nm < best_lb_d * dn) continue;
+      const CosineBounds bounds = quant_gate_bounds(
+          probe.gate, make_quant_gate(store.quant_view(local), d),
+          dots[local]);
+      out[r].band.push_back({local, bounds.ub, 0, local});
+      if (bounds.lb > best_lb) {
+        best_lb = bounds.lb;
+        best_lb_d = bounds.lb;
+      }
+    }
+  }
+  return out;
+}
+
+void settle_best(std::vector<BandCandidate> band, const ScreenProbe& probe,
+                 std::span<const EmbeddingStore> stores, ScreenRow& row) {
+  std::sort(band.begin(), band.end(),
+            [](const BandCandidate& x, const BandCandidate& y) {
+              if (x.ub != y.ub) return x.ub > y.ub;
+              return x.index < y.index;
+            });
+  std::optional<ScreenMatch>& best = row.best;
+  for (const BandCandidate& c : band) {
+    if (best) {
+      if (c.ub < best->similarity) break;
+      if (c.ub == best->similarity && c.index > best->index) continue;
+    }
+    const EmbeddingStore& store = stores[c.store];
+    ++row.rescored;
+    const float sim =
+        cosine_cell(probe.row, store.row(c.local).data(), store.dim(),
+                    probe.norm * store.norm(c.local));
+    if (!best || sim > best->similarity ||
+        (sim == best->similarity && c.index < best->index)) {
+      best = ScreenMatch{c.index, sim};
+    }
+  }
+}
+
+std::vector<ScreenMatch> store_top_k(const EmbeddingStore& store,
+                                    std::size_t limit, std::size_t exclude,
+                                    const EmbeddingStore& query_store,
+                                    std::size_t query_row, std::size_t k,
+                                    bool prefilter, const KernelOps& ops) {
+  std::vector<ScreenMatch> result;
+  if (k == 0 || limit == 0) return result;
+  const std::size_t d = query_store.dim();
+  const float* query = query_store.row(query_row).data();
+  const float query_norm = query_store.norm(query_row);
+  const auto candidate = [&](std::size_t local) {
+    return local != exclude && store.live(local);
+  };
+  const auto exact = [&](std::size_t local) {
+    return cosine_cell(query, store.row(local).data(), d,
+                       query_norm * store.norm(local));
+  };
+  std::size_t candidates = 0;
+  for (std::size_t local = 0; local < limit; ++local) {
+    candidates += candidate(local) ? 1 : 0;
+  }
+  if (!prefilter || candidates <= k) {
+    // Exhaustive — and with k ≥ candidates every candidate is in the
+    // result anyway, so there is nothing for bounds to prune.
+    result.reserve(candidates);
+    for (std::size_t local = 0; local < limit; ++local) {
+      if (candidate(local)) result.push_back({local, exact(local)});
+    }
+  } else {
+    const QuantGate gate =
+        make_quant_gate(query_store.quant_view(query_row), d);
+    const auto dots = std::make_unique_for_overwrite<std::int32_t[]>(limit);
+    const auto num = std::make_unique_for_overwrite<double[]>(limit);
+    const auto den = std::make_unique_for_overwrite<double[]>(limit);
+    const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(limit);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // prune_max = +inf emits no hits: the sweep runs for num/den, an
+    // upper bound on every candidate's unclamped exact cell.
+    (void)ops.quant_screen_sweep(make_sweep_query(gate), gate.q,
+                                 store.qrow(0).data(), d, store.quant_stats(),
+                                 limit, kInf, dots.get(), num.get(), den.get(),
+                                 hits.get());
+    // The k best-bounded candidates, in a min-heap on the bound. Any k
+    // candidates give a sound threshold; the best-bounded give the
+    // tightest one in practice.
+    std::vector<std::pair<double, std::size_t>> seeds;
+    seeds.reserve(k);
+    const auto weaker = [](const std::pair<double, std::size_t>& x,
+                           const std::pair<double, std::size_t>& y) {
+      return x.first > y.first;
+    };
+    for (std::size_t local = 0; local < limit; ++local) {
+      if (!candidate(local)) continue;
+      const double ub = num[local] / den[local];
+      if (seeds.size() < k) {
+        seeds.emplace_back(ub, local);
+        std::push_heap(seeds.begin(), seeds.end(), weaker);
+      } else if (ub > seeds.front().first) {
+        std::pop_heap(seeds.begin(), seeds.end(), weaker);
+        seeds.back() = {ub, local};
+        std::push_heap(seeds.begin(), seeds.end(), weaker);
+      }
+    }
+    float threshold = 2.0F;
+    for (const auto& seed : seeds) {
+      threshold = std::min(threshold, exact(seed.second));
+    }
+    // k candidates score ≥ T, so one with num < T·den (exact < T) ranks
+    // strictly below all of them. Sound only on the clamped range, hence
+    // the > −1 guard (−inf keeps everything); equality survives, so an
+    // exact tie at T still meets the index tie-break.
+    const double keep_lb = threshold > -1.0F ? threshold : -kInf;
+    const std::size_t n_keep = ops.quant_survivor_scan(
+        num.get(), den.get(), limit, keep_lb, hits.get());
+    for (std::size_t h = 0; h < n_keep; ++h) {
+      const std::size_t local = hits[h];
+      if (candidate(local)) result.push_back({local, exact(local)});
+    }
+  }
+  const std::size_t keep = std::min(k, result.size());
+  std::partial_sort(
+      result.begin(), result.begin() + static_cast<std::ptrdiff_t>(keep),
+      result.end(), [](const ScreenMatch& x, const ScreenMatch& y) {
+        if (x.similarity != y.similarity) return x.similarity > y.similarity;
+        return x.index < y.index;
+      });
+  result.resize(keep);
+  return result;
+}
+
+std::vector<PairScore> merge_top_k(std::vector<PairScore> merged,
+                                   std::size_t k) {
+  const std::size_t keep = std::min(k, merged.size());
+  std::partial_sort(
+      merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(keep),
+      merged.end(), [](const PairScore& x, const PairScore& y) {
+        if (x.similarity != y.similarity) return x.similarity > y.similarity;
+        return x.b < y.b;
+      });
+  merged.resize(keep);
+  return merged;
+}
+
+}  // namespace gnn4ip::core

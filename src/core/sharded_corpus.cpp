@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 
+#include "core/shard_sweep.h"
 #include "core/snapshot_format.h"
 #include "util/contract.h"
 #include "util/thread_pool.h"
@@ -293,199 +294,63 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
   if (new_rows == 0) return result;
   const StripeGuard stripes = lock_all_stripes_shared();
   const std::size_t d = row_nolock(query_refs[0]).size();
-  std::vector<std::span<const float>> query_rows(new_rows);
-  std::vector<float> query_norms(new_rows);
-  std::vector<QuantGate> query_gates(new_rows);
+  std::vector<ScreenProbe> probes(new_rows);
   for (std::size_t r = 0; r < new_rows; ++r) {
     const EntryRef& e = query_refs[r];
-    query_rows[r] = row_nolock(e);
-    query_norms[r] = shards_[e.shard].norm(e.local);
-    query_gates[r] = make_quant_gate(shards_[e.shard].quant_view(e.local), d);
+    probes[r] = {row_nolock(e).data(), shards_[e.shard].norm(e.local),
+                 make_quant_gate(shards_[e.shard].quant_view(e.local), d)};
   }
-  const bool prefilter = options_.int8_prefilter;
   // Integer kernels are bit-identical across backends, so the int8
   // screen always uses the resolved backend — exact_scoring only pins
-  // *float* arithmetic, and every float cell below is the scalar
-  // cosine_cell regardless.
+  // *float* arithmetic, and every float cell is the scalar cosine_cell
+  // regardless.
   const KernelOps& ops = kernel_ops(options_.kernel);
-
-  // A candidate the bounds proved can neither flag nor (yet) be best;
-  // kept with its shard address so the best phase can rescore it
-  // without re-resolving global ids (the index lock is off-limits while
-  // the stripes are held — admitters take index before stripe).
-  struct PrunedCand {
-    std::size_t g = 0;
-    float ub = 0.0F;
-    EntryRef ref;
-  };
-  struct ShardPartial {
-    std::vector<ScreenMatch> flagged;  // exact sims > delta, ascending g
-    std::optional<ScreenMatch> best;   // best among this shard's rescored
-    std::vector<PrunedCand> pruned;
-    std::size_t scanned = 0;
-    std::size_t rescored = 0;
-  };
-  std::vector<std::vector<ShardPartial>> partials(
-      shards_.size(), std::vector<ShardPartial>(new_rows));
-
+  // Each shard screens its own candidates — live rows admitted before
+  // first_new, an ascending prefix of the shard — with the one per-store
+  // sweep the shard servers run too, then re-keys its partials to
+  // global indices.
+  std::vector<std::vector<StoreScreen>> partials(shards_.size());
   const auto run_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    // Candidates are live rows admitted before first_new — an ascending
-    // prefix of the shard, exactly like the score_new_rows snapshot.
-    std::size_t limit = store.size();
+    std::size_t limit = shards_[s].size();
     while (limit > 0 && globals_[s][limit - 1] >= first_new) --limit;
-    const double delta_d = delta;
-    if (!prefilter) {
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (!store.live(local)) continue;
-        const std::size_t g = globals_[s][local];
-        const float* rb = store.row(local).data();
-        const float norm_b = store.norm(local);
-        for (std::size_t r = 0; r < new_rows; ++r) {
-          ShardPartial& p = partials[s][r];
-          ++p.scanned;
-          ++p.rescored;
-          const float sim = cosine_cell(query_rows[r].data(), rb, d,
-                                        query_norms[r] * norm_b);
-          if (sim > delta) p.flagged.push_back({g, sim});
-          if (!p.best || sim > p.best->similarity) {
-            p.best = ScreenMatch{g, sim};
-          }
-        }
-      }
-      return;
-    }
-    // Prefilter sweeps: the candidate-side gate stats live in the
-    // store's incrementally maintained SoA (quant_stats — no per-call
-    // rebuild); each query row then costs one fused quant_screen_sweep
-    // over the shard's contiguous int8 block, and the scalar walks only
-    // ever visit the compacted hit lists the kernels emit. Dead rows
-    // burn a sweep lane but are skipped in the walks. Scratch buffers
-    // are allocated uninitialized — every lane is written by the sweep
-    // before any walk reads it.
-    const QuantStatsSoa soa = store.quant_stats();
-    std::size_t live_n = 0;
-    for (std::size_t local = 0; local < limit; ++local) {
-      live_n += store.live(local) ? 1 : 0;
-    }
-    const auto dots = std::make_unique_for_overwrite<std::int32_t[]>(limit);
-    const auto num = std::make_unique_for_overwrite<double[]>(limit);
-    const auto den = std::make_unique_for_overwrite<double[]>(limit);
-    const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(limit);
-    const std::int8_t* qbase = limit > 0 ? store.qrow(0).data() : nullptr;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    // Pruning compares the bound numerator against t·denominator — the
-    // *unclamped* bound against t. The exact cell clamps into [-1, 1],
-    // so the comparison only implies `exact ≤ t` for t ≥ −1; a
-    // sub-range delta disables pruning (−inf: every row is a hit and
-    // rescores — the exact sweep).
-    const double prune_max = delta >= -1.0F ? delta_d : -kInf;
-    for (std::size_t r = 0; r < new_rows; ++r) {
-      ShardPartial& p = partials[s][r];
-      p.scanned += live_n;
-      if (limit == 0) continue;
-      const QuantGate& ga = query_gates[r];
-      const QuantSweepQuery qc = make_sweep_query(ga);
-      // Pass 1 — one fused sweep computes every candidate's int8 dot and
-      // margin test, emitting the rescore class: every candidate the
-      // bounds could not prune gets the exact scalar cell (flags + best
-      // + a lower bound on the best similarity for pass 2).
-      const std::size_t n_rescore = ops.quant_screen_sweep(
-          qc, ga.q, qbase, d, soa, limit, prune_max, dots.get(), num.get(),
-          den.get(), hits.get());
-      float best_lb = -2.0F;
-      std::size_t rescored = 0;
-      for (std::size_t h = 0; h < n_rescore; ++h) {
-        const std::size_t local = hits[h];
-        if (!store.live(local)) continue;
-        ++rescored;
-        const std::size_t g = globals_[s][local];
-        const float sim =
-            cosine_cell(query_rows[r].data(), store.row(local).data(), d,
-                        query_norms[r] * soa.normf[local]);
-        if (sim > delta) p.flagged.push_back({g, sim});
-        if (!p.best || sim > p.best->similarity) p.best = ScreenMatch{g, sim};
-        if (sim > best_lb) best_lb = sim;
-      }
-      p.rescored += rescored;
-      // Pass 2 — the best band among the pruned: only candidates whose
-      // upper bound reaches best_lb can still win the best slot. A
-      // candidate below the scan's threshold loses strictly to the row
-      // that set best_lb (exact ≤ num/den < best_lb ≤ its similarity),
-      // index tie-breaks never come into play — sound only on the
-      // clamped range, hence the > −1 guard (−inf keeps everything).
-      const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
-      double best_lb_d = best_lb;
-      const std::size_t n_band = ops.quant_survivor_scan(
-          num.get(), den.get(), limit, keep_lb, hits.get());
-      for (std::size_t h = 0; h < n_band; ++h) {
-        const std::size_t local = hits[h];
-        if (!store.live(local)) continue;
-        const double nm = num[local];
-        const double dn = den[local];
-        // Skip the rescore class (already handled in pass 1), and keep
-        // tightening: candidates rejected against the *running* best_lb
-        // drop without being stored, same witness argument as the scan.
-        if (nm > prune_max * dn) continue;
-        if (best_lb > -1.0F && nm < best_lb_d * dn) continue;
-        const CosineBounds bounds = quant_gate_bounds(
-            ga, make_quant_gate(store.quant_view(local), d), dots[local]);
-        p.pruned.push_back({globals_[s][local], bounds.ub, {s, local}});
-        if (bounds.lb > best_lb) {
-          best_lb = bounds.lb;
-          best_lb_d = bounds.lb;
-        }
+    partials[s] = store_screen(shards_[s], limit, probes, delta,
+                               options_.int8_prefilter, ops);
+    for (StoreScreen& p : partials[s]) {
+      for (ScreenMatch& m : p.row.flagged) m.index = globals_[s][m.index];
+      if (p.row.best) p.row.best->index = globals_[s][p.row.best->index];
+      for (BandCandidate& c : p.band) {
+        c.index = globals_[s][c.local];
+        c.store = s;
       }
     }
   };
   fan_out(shards_.size(), run_shard);
 
+  // Merge under the fixed tie-breaks (flags by ascending global index,
+  // best by max similarity then lowest index), then settle the best
+  // against every shard's band at once.
   for (std::size_t r = 0; r < new_rows; ++r) {
     ScreenRow& out = result[r];
-    std::optional<ScreenMatch> best;
-    std::vector<PrunedCand> pruned;
+    std::vector<BandCandidate> band;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      ShardPartial& p = partials[s][r];
-      out.scanned += p.scanned;
-      out.rescored += p.rescored;
-      out.flagged.insert(out.flagged.end(), p.flagged.begin(),
-                         p.flagged.end());
-      if (p.best && (!best || p.best->similarity > best->similarity ||
-                     (p.best->similarity == best->similarity &&
-                      p.best->index < best->index))) {
-        best = p.best;
+      const StoreScreen& p = partials[s][r];
+      out.scanned += p.row.scanned;
+      out.rescored += p.row.rescored;
+      out.flagged.insert(out.flagged.end(), p.row.flagged.begin(),
+                         p.row.flagged.end());
+      const std::optional<ScreenMatch>& b = p.row.best;
+      if (b && (!out.best || b->similarity > out.best->similarity ||
+                (b->similarity == out.best->similarity &&
+                 b->index < out.best->index))) {
+        out.best = b;
       }
-      pruned.insert(pruned.end(), p.pruned.begin(), p.pruned.end());
+      band.insert(band.end(), p.band.begin(), p.band.end());
     }
     std::sort(out.flagged.begin(), out.flagged.end(),
               [](const ScreenMatch& x, const ScreenMatch& y) {
                 return x.index < y.index;
               });
-    // Best phase: descend the pruned candidates by upper bound and stop
-    // as soon as no remaining bound can beat (or index-tie-break) the
-    // best exact value — every rescore is the scalar cosine_cell, so
-    // the winner is bit-identical to the exact sweep's first-max.
-    std::sort(pruned.begin(), pruned.end(),
-              [](const PrunedCand& x, const PrunedCand& y) {
-                if (x.ub != y.ub) return x.ub > y.ub;
-                return x.g < y.g;
-              });
-    for (const PrunedCand& c : pruned) {
-      if (best) {
-        if (c.ub < best->similarity) break;
-        if (c.ub == best->similarity && c.g > best->index) continue;
-      }
-      const EmbeddingStore& store = shards_[c.ref.shard];
-      ++out.rescored;
-      const float sim =
-          cosine_cell(query_rows[r].data(), store.row(c.ref.local).data(), d,
-                      query_norms[r] * store.norm(c.ref.local));
-      if (!best || sim > best->similarity ||
-          (sim == best->similarity && c.g < best->index)) {
-        best = ScreenMatch{c.g, sim};
-      }
-    }
-    out.best = best;
+    settle_best(std::move(band), probes[r], shards_, out);
   }
   return result;
 }
@@ -495,116 +360,38 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   util::ReaderLock epoch(epoch_mu_);
   EntryRef query_ref;
   std::size_t n = 0;
-  std::size_t live_now = 0;
   {
     util::ReaderLock index(index_mu_);
     GNN4IP_ENSURE(i < entries_.size(), "top_k: row index out of range");
     query_ref = entries_[i];
     n = entries_.size();
-    live_now = live_count_;
   }
   const StripeGuard stripes = lock_all_stripes_shared();
   GNN4IP_ENSURE(shards_[query_ref.shard].live(query_ref.local),
                 "top_k: row has been removed");
-  const std::span<const float> query = row_nolock(query_ref);
-  const std::size_t d = query.size();
-  const float query_norm = shards_[query_ref.shard].norm(query_ref.local);
-  const auto closer = [](const PairScore& x, const PairScore& y) {
-    if (x.similarity != y.similarity) return x.similarity > y.similarity;
-    return x.b < y.b;
-  };
-
-  if (options_.int8_prefilter) {
-    // Two-phase ranking: the int8 screen assigns every candidate a
-    // rigorous upper bound; exact (scalar-kernel) rescoring then walks
-    // the candidates in descending-bound order and stops once the k-th
-    // exact similarity provably beats every remaining bound. Equal
-    // bounds still rescore — an exact tie displaces on the ascending-
-    // index tie-break — so the kept set and its order are bit-identical
-    // to the exhaustive scan.
-    struct Cand {
-      std::size_t g = 0;
-      float ub = 0.0F;
-      EntryRef ref;
-    };
-    const QuantRowView query_view =
-        shards_[query_ref.shard].quant_view(query_ref.local);
-    const KernelOps& ops = kernel_ops(options_.kernel);
-    std::vector<std::vector<Cand>> cand_buckets(shards_.size());
-    const auto bound_shard = [&](std::size_t s) {
-      const EmbeddingStore& store = shards_[s];
-      for (std::size_t local = 0; local < store.size(); ++local) {
-        const std::size_t g = globals_[s][local];
-        if (g >= n || g == i || !store.live(local)) continue;
-        const QuantRowView qv = store.quant_view(local);
-        const std::int32_t dot = ops.dot_i8(query_view.q, qv.q, d);
-        const CosineBounds bounds =
-            quantized_cosine_bounds(query_view, qv, dot, d);
-        cand_buckets[s].push_back({g, bounds.ub, {s, local}});
-      }
-    };
-    fan_out(shards_.size(), bound_shard);
-    std::vector<Cand> cands;
-    cands.reserve(live_now > 0 ? live_now - 1 : 0);
-    for (std::vector<Cand>& bucket : cand_buckets) {
-      cands.insert(cands.end(), bucket.begin(), bucket.end());
-    }
-    std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& y) {
-      if (x.ub != y.ub) return x.ub > y.ub;
-      return x.g < y.g;
-    });
-    const std::size_t keep = std::min(k, cands.size());
-    std::vector<PairScore> result;
-    if (keep == 0) return result;
-    result.reserve(keep + 1);
-    for (const Cand& c : cands) {
-      // Every later candidate's bound is ≤ c.ub; once the ranking is
-      // full and even c's bound sits strictly below the k-th exact
-      // value, nothing left can enter it.
-      if (result.size() == keep && c.ub < result.back().similarity) break;
-      const EmbeddingStore& store = shards_[c.ref.shard];
-      const PairScore scored{
-          i, c.g,
-          cosine_cell(query.data(), store.row(c.ref.local).data(), d,
-                      query_norm * store.norm(c.ref.local))};
-      const auto pos =
-          std::lower_bound(result.begin(), result.end(), scored, closer);
-      result.insert(pos, scored);
-      if (result.size() > keep) result.pop_back();
-    }
-    return result;
-  }
-
-  // Each shard scans its own live rows in parallel; the merge comparator
-  // (similarity desc, global index asc) is a total order over candidates
-  // with distinct global indices, so the merged prefix is the same no
-  // matter how candidates were bucketed. Each cell divides by the cached
-  // norms — the same bits cosine_pair recomputes.
+  // Each shard ranks its own snapshot prefix with the one per-store
+  // top_k the shard servers run too (core/shard_sweep.h); the merge
+  // order is total over distinct global indices, so the result is
+  // independent of shard count, worker count and arrival order.
+  const KernelOps& ops = kernel_ops(options_.kernel);
   std::vector<std::vector<PairScore>> buckets(shards_.size());
-  const auto scan_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    for (std::size_t local = 0; local < store.size(); ++local) {
-      const std::size_t g = globals_[s][local];
-      if (g >= n || g == i || !store.live(local)) continue;
-      buckets[s].push_back(
-          {i, g,
-           cosine_cell(query.data(), store.row(local).data(), d,
-                       query_norm * store.norm(local))});
+  const auto run_shard = [&](std::size_t s) {
+    std::size_t limit = shards_[s].size();
+    while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
+    const std::size_t exclude =
+        s == query_ref.shard ? query_ref.local : kNoIndex;
+    for (const ScreenMatch& m :
+         store_top_k(shards_[s], limit, exclude, shards_[query_ref.shard],
+                     query_ref.local, k, options_.int8_prefilter, ops)) {
+      buckets[s].push_back({i, globals_[s][m.index], m.similarity});
     }
   };
-  fan_out(shards_.size(), scan_shard);
-
-  std::vector<PairScore> neighbours;
-  neighbours.reserve(live_now > 0 ? live_now - 1 : 0);
+  fan_out(shards_.size(), run_shard);
+  std::vector<PairScore> merged;
   for (std::vector<PairScore>& bucket : buckets) {
-    neighbours.insert(neighbours.end(), bucket.begin(), bucket.end());
+    merged.insert(merged.end(), bucket.begin(), bucket.end());
   }
-  const std::size_t keep = std::min(k, neighbours.size());
-  std::partial_sort(neighbours.begin(),
-                    neighbours.begin() + static_cast<std::ptrdiff_t>(keep),
-                    neighbours.end(), closer);
-  neighbours.resize(keep);
-  return neighbours;
+  return merge_top_k(std::move(merged), k);
 }
 
 std::vector<PairScore> ShardedCorpus::score_all_pairs() const {

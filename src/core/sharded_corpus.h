@@ -147,11 +147,12 @@ class ShardedCorpus final : public CorpusBackend {
 
   /// The k live entries most similar to global row `i` (i itself and
   /// removed rows excluded), descending similarity with ascending-index
-  /// tie-break. Per-shard candidate scans fan out over the pool; the
-  /// merge comparator is a total order (no two candidates share a global
-  /// index), so the merged result is independent of shard count, worker
-  /// count, and merge arrival order. Candidates admitted concurrently
-  /// (global id past the entry snapshot) are excluded.
+  /// tie-break. Each shard runs core::store_top_k (shard_sweep.h — the
+  /// shard servers run the same function) over the pool; the merge
+  /// order is total (no two candidates share a global index), so the
+  /// result is independent of shard count, worker count, and merge
+  /// arrival order. Candidates admitted concurrently (global id past
+  /// the entry snapshot) are excluded.
   [[nodiscard]] std::vector<PairScore> top_k(std::size_t i,
                                              std::size_t k) const override;
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
 #include "net/wire_format.h"
@@ -24,13 +25,6 @@ using net::FrameCursor;
 using net::MsgType;
 
 constexpr std::uint64_t kNoLocal = std::numeric_limits<std::uint64_t>::max();
-
-/// The top_k merge comparator of ShardedCorpus (similarity desc, global
-/// index asc) — a total order over candidates with distinct globals.
-bool closer(const PairScore& x, const PairScore& y) {
-  if (x.similarity != y.similarity) return x.similarity > y.similarity;
-  return x.b < y.b;
-}
 
 }  // namespace
 
@@ -475,9 +469,7 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
     }
     cur.done("TopKResult");
   }
-  std::sort(merged.begin(), merged.end(), closer);
-  merged.resize(std::min(k, merged.size()));
-  return merged;
+  return core::merge_top_k(std::move(merged), k);
 }
 
 std::vector<PairScore> DistCorpus::flag(float delta) const {

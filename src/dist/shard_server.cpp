@@ -1,12 +1,10 @@
 #include "dist/shard_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -14,6 +12,7 @@
 #include <vector>
 
 #include "core/cosine_kernels.h"
+#include "core/shard_sweep.h"
 #include "core/snapshot_format.h"
 #include "net/wire_format.h"
 #include "tensor/matrix.h"
@@ -23,27 +22,17 @@ namespace gnn4ip::dist {
 namespace {
 
 using core::cosine_cell;
-using core::CosineBounds;
 using core::EmbeddingStore;
 using core::KernelOps;
 using core::make_quant_gate;
 using core::make_sweep_query;
 using core::QuantGate;
-using core::QuantRowView;
 using core::QuantStatsSoa;
-using core::QuantSweepQuery;
 using net::FrameBuilder;
 using net::FrameCursor;
 using net::MsgType;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One shard-local match (the wire's result unit — the front end owns
-/// the local→global mapping).
-struct Match {
-  std::uint64_t local = 0;
-  float similarity = 0.0F;
-};
 
 /// Materialize a request's probe block as a throwaway EmbeddingStore:
 /// add() runs the exact same quantization/norm arithmetic the original
@@ -64,12 +53,14 @@ EmbeddingStore make_probe_store(FrameCursor& cur, std::size_t nrows,
   return probes;
 }
 
-/// The ranking comparator of ShardedCorpus::top_k, on shard-local
-/// indices — within one shard, local order equals global order, so the
-/// tie-breaks agree with the in-process ones.
-bool closer(const Match& x, const Match& y) {
-  if (x.similarity != y.similarity) return x.similarity > y.similarity;
-  return x.local < y.local;
+/// The screening view of every probe row: row, cached norm, int8 gate.
+std::vector<core::ScreenProbe> screen_probes(const EmbeddingStore& probes) {
+  std::vector<core::ScreenProbe> out(probes.size());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = {probes.row(r).data(), probes.norm(r),
+              make_quant_gate(probes.quant_view(r), probes.dim())};
+  }
+  return out;
 }
 
 }  // namespace
@@ -281,134 +272,33 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
           make_probe_store(cur, nrows, d, "probe rows");
       cur.done("Screen");
 
-      // This is ShardedCorpus::screen_new_rows's run_shard on the local
-      // store, with one addition: the pruned band resolves HERE (sorted
-      // by upper bound, same break/skip/update rules as the in-process
-      // merge), so what crosses back is the shard's true exact
-      // first-max. Merging per-shard true first-maxes under the fixed
-      // (sim desc, index asc) order reproduces the in-process best bit
-      // for bit. `rescored` can differ from the in-process tally (the
-      // local band seeds from a weaker shard-local best) — diagnostics
-      // only, documented in docs/ARCHITECTURE.md.
-      struct RowPartial {
-        std::vector<Match> flagged;
-        std::optional<Match> best;
-        std::uint64_t scanned = 0;
-        std::uint64_t rescored = 0;
-      };
-      std::vector<RowPartial> partials(nrows);
-      if (!prefilter) {
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (!store_.live(local)) continue;
-          const float* rb = store_.row(local).data();
-          const float norm_b = store_.norm(local);
-          for (std::size_t r = 0; r < nrows; ++r) {
-            RowPartial& p = partials[r];
-            ++p.scanned;
-            ++p.rescored;
-            const float sim = cosine_cell(probes.row(r).data(), rb, d,
-                                          probes.norm(r) * norm_b);
-            if (sim > delta) p.flagged.push_back({local, sim});
-            if (!p.best || sim > p.best->similarity) {
-              p.best = Match{local, sim};
-            }
-          }
-        }
-      } else {
-        const QuantStatsSoa soa = store_.quant_stats();
-        std::size_t live_n = 0;
-        for (std::size_t local = 0; local < limit; ++local) {
-          live_n += store_.live(local) ? 1 : 0;
-        }
-        const auto dots =
-            std::make_unique_for_overwrite<std::int32_t[]>(limit);
-        const auto num = std::make_unique_for_overwrite<double[]>(limit);
-        const auto den = std::make_unique_for_overwrite<double[]>(limit);
-        const auto hits =
-            std::make_unique_for_overwrite<std::uint32_t[]>(limit);
-        const std::int8_t* qbase = limit > 0 ? store_.qrow(0).data() : nullptr;
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        struct Pruned {
-          std::size_t local = 0;
-          float ub = 0.0F;
-        };
-        for (std::size_t r = 0; r < nrows; ++r) {
-          RowPartial& p = partials[r];
-          p.scanned += live_n;
-          if (limit == 0) continue;
-          const QuantGate ga = make_quant_gate(probes.quant_view(r), d);
-          const QuantSweepQuery qc = make_sweep_query(ga);
-          const float* qrow = probes.row(r).data();
-          const float qnorm = probes.norm(r);
-          const std::size_t n_rescore = ops.quant_screen_sweep(
-              qc, ga.q, qbase, d, soa, limit, prune_max, dots.get(),
-              num.get(), den.get(), hits.get());
-          float best_lb = -2.0F;
-          for (std::size_t h = 0; h < n_rescore; ++h) {
-            const std::size_t local = hits[h];
-            if (!store_.live(local)) continue;
-            ++p.rescored;
-            const float sim = cosine_cell(qrow, store_.row(local).data(), d,
-                                          qnorm * soa.normf[local]);
-            if (sim > delta) p.flagged.push_back({local, sim});
-            if (!p.best || sim > p.best->similarity) p.best = Match{local, sim};
-            if (sim > best_lb) best_lb = sim;
-          }
-          const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
-          double best_lb_d = best_lb;
-          const std::size_t n_band = ops.quant_survivor_scan(
-              num.get(), den.get(), limit, keep_lb, hits.get());
-          std::vector<Pruned> pruned;
-          for (std::size_t h = 0; h < n_band; ++h) {
-            const std::size_t local = hits[h];
-            if (!store_.live(local)) continue;
-            const double nm = num[local];
-            const double dn = den[local];
-            if (nm > prune_max * dn) continue;
-            if (best_lb > -1.0F && nm < best_lb_d * dn) continue;
-            const CosineBounds bounds = core::quant_gate_bounds(
-                ga, make_quant_gate(store_.quant_view(local), d),
-                dots[local]);
-            pruned.push_back({local, bounds.ub});
-            if (bounds.lb > best_lb) {
-              best_lb = bounds.lb;
-              best_lb_d = bounds.lb;
-            }
-          }
-          std::sort(pruned.begin(), pruned.end(),
-                    [](const Pruned& x, const Pruned& y) {
-                      if (x.ub != y.ub) return x.ub > y.ub;
-                      return x.local < y.local;
-                    });
-          for (const Pruned& c : pruned) {
-            if (p.best) {
-              if (c.ub < p.best->similarity) break;
-              if (c.ub == p.best->similarity && c.local > p.best->local) {
-                continue;
-              }
-            }
-            ++p.rescored;
-            const float sim = cosine_cell(qrow, store_.row(c.local).data(), d,
-                                          qnorm * store_.norm(c.local));
-            if (!p.best || sim > p.best->similarity ||
-                (sim == p.best->similarity && c.local < p.best->local)) {
-              p.best = Match{c.local, sim};
-            }
-          }
-        }
+      // The per-store sweep ShardedCorpus::screen_new_rows runs on each
+      // of its shards, with the best band settled HERE, so what crosses
+      // back is the shard's true exact first-max. Merging per-shard true
+      // first-maxes under the fixed (sim desc, index asc) order
+      // reproduces the in-process best bit for bit. `rescored` can
+      // differ from the in-process tally (the local band seeds from a
+      // weaker shard-local best) — diagnostics only, documented in
+      // docs/ARCHITECTURE.md.
+      const std::vector<core::ScreenProbe> rows = screen_probes(probes);
+      std::vector<core::StoreScreen> partials =
+          core::store_screen(store_, limit, rows, delta, prefilter, ops);
+      for (std::size_t r = 0; r < nrows; ++r) {
+        core::settle_best(std::move(partials[r].band), rows[r], {&store_, 1},
+                          partials[r].row);
       }
 
       FrameBuilder b(out, MsgType::kScreenResult);
-      for (const RowPartial& p : partials) {
+      for (const core::StoreScreen& partial : partials) {
+        const core::ScreenRow& p = partial.row;
         b.put_u32(static_cast<std::uint32_t>(p.flagged.size()));
-        for (const Match& m : p.flagged) {
-          b.put_u64(m.local);
+        for (const core::ScreenMatch& m : p.flagged) {
+          b.put_u64(m.index);
           b.put_f32(m.similarity);
         }
         b.put_u8(p.best ? 1 : 0);
         if (p.best) {
-          b.put_u64(p.best->local);
+          b.put_u64(p.best->index);
           b.put_f32(p.best->similarity);
         }
         b.put_u64(p.scanned);
@@ -430,73 +320,17 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       const std::size_t d = dim;
       const EmbeddingStore probes = make_probe_store(cur, 1, d, "probe row");
       cur.done("TopK");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-      const float* query = probes.row(0).data();
-      const float query_norm = probes.norm(0);
-
-      std::vector<Match> result;
-      if (prefilter) {
-        // Bound every candidate, then exact-rescore in descending-bound
-        // order until the k-th exact value beats every remaining bound
-        // — ShardedCorpus::top_k's walk on one shard.
-        struct Cand {
-          std::size_t local = 0;
-          float ub = 0.0F;
-        };
-        const QuantRowView query_view = probes.quant_view(0);
-        std::vector<Cand> cands;
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (local == exclude || !store_.live(local)) continue;
-          const QuantRowView qv = store_.quant_view(local);
-          const std::int32_t dot = ops.dot_i8(query_view.q, qv.q, d);
-          const CosineBounds bounds =
-              core::quantized_cosine_bounds(query_view, qv, dot, d);
-          cands.push_back({local, bounds.ub});
-        }
-        std::sort(cands.begin(), cands.end(),
-                  [](const Cand& x, const Cand& y) {
-                    if (x.ub != y.ub) return x.ub > y.ub;
-                    return x.local < y.local;
-                  });
-        const std::size_t keep =
-            std::min(static_cast<std::size_t>(k), cands.size());
-        if (keep > 0) {
-          result.reserve(keep + 1);
-          for (const Cand& c : cands) {
-            if (result.size() == keep &&
-                c.ub < result.back().similarity) {
-              break;
-            }
-            const Match scored{
-                c.local, cosine_cell(query, store_.row(c.local).data(), d,
-                                     query_norm * store_.norm(c.local))};
-            const auto pos =
-                std::lower_bound(result.begin(), result.end(), scored, closer);
-            result.insert(pos, scored);
-            if (result.size() > keep) result.pop_back();
-          }
-        }
-      } else {
-        std::vector<Match> cands;
-        for (std::size_t local = 0; local < limit; ++local) {
-          if (local == exclude || !store_.live(local)) continue;
-          cands.push_back(
-              {local, cosine_cell(query, store_.row(local).data(), d,
-                                  query_norm * store_.norm(local))});
-        }
-        const std::size_t keep =
-            std::min(static_cast<std::size_t>(k), cands.size());
-        std::partial_sort(cands.begin(),
-                          cands.begin() + static_cast<std::ptrdiff_t>(keep),
-                          cands.end(), closer);
-        cands.resize(keep);
-        result = std::move(cands);
-      }
+      // The same per-store top_k ShardedCorpus runs on each of its
+      // stripes; the front end merges shards under the same order.
+      const std::vector<core::ScreenMatch> result = core::store_top_k(
+          store_, static_cast<std::size_t>(limit64),
+          static_cast<std::size_t>(exclude), probes, 0,
+          static_cast<std::size_t>(k), prefilter, ops);
 
       FrameBuilder b(out, MsgType::kTopKResult);
       b.put_u32(static_cast<std::uint32_t>(result.size()));
-      for (const Match& m : result) {
-        b.put_u64(m.local);
+      for (const core::ScreenMatch& m : result) {
+        b.put_u64(m.index);
         b.put_f32(m.similarity);
       }
       b.finish();
@@ -608,76 +442,23 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       const EmbeddingStore probes =
           make_probe_store(cur, nprobes, d, "probe rows");
       cur.done("CrossFlag");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-
-      std::vector<std::size_t> live;
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (store_.live(local)) live.push_back(local);
-      }
-      const std::size_t kept = live.size();
-
-      struct Hit {
-        std::uint32_t probe = 0;
-        std::uint64_t local = 0;
-        float similarity = 0.0F;
-      };
-      std::vector<Hit> result;
-      if (!prefilter) {
-        for (std::uint32_t r = 0; r < nprobes; ++r) {
-          const float* ra = probes.row(r).data();
-          const float na = probes.norm(r);
-          for (std::size_t y = 0; y < kept; ++y) {
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * store_.norm(live[y]));
-            if (sim > delta) result.push_back({r, live[y], sim});
-          }
-        }
-      } else if (kept > 0) {
-        std::vector<QuantGate> cand_gates(kept);
-        std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept),
-            cd_norm(kept);
-        std::vector<float> norms(kept);
-        for (std::size_t y = 0; y < kept; ++y) {
-          cand_gates[y] = make_quant_gate(store_.quant_view(live[y]), d);
-          cd_scale[y] = cand_gates[y].scale;
-          cd_sq[y] = cand_gates[y].sq;
-          cd_e[y] = cand_gates[y].e;
-          cd_norm[y] = cand_gates[y].norm;
-          norms[y] = store_.norm(live[y]);
-        }
-        const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                                cd_norm.data(), norms.data()};
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        std::vector<std::int32_t> dots(kept);
-        std::vector<double> num(kept);
-        std::vector<double> den(kept);
-        std::vector<std::uint32_t> hits(kept);
-        for (std::uint32_t r = 0; r < nprobes; ++r) {
-          const QuantGate ga = make_quant_gate(probes.quant_view(r), d);
-          const float* ra = probes.row(r).data();
-          const float na = probes.norm(r);
-          for (std::size_t y = 0; y < kept; ++y) {
-            dots[y] = ops.dot_i8(ga.q, cand_gates[y].q, d);
-          }
-          const std::size_t n_hits = ops.quant_margin_sweep(
-              make_sweep_query(ga), soa, dots.data(), kept, prune_max,
-              num.data(), den.data(), hits.data());
-          for (std::size_t h = 0; h < n_hits; ++h) {
-            const std::size_t y = hits[h];
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * norms[y]);
-            if (sim > delta) result.push_back({r, live[y], sim});
-          }
-        }
-      }
-
+      // Every store row with exact similarity > delta, per probe: the
+      // flagged set of the per-store screen (bounds prune only provable
+      // sim ≤ delta; survivors pass the exact filter).
+      const std::vector<core::ScreenProbe> rows = screen_probes(probes);
+      const std::vector<core::StoreScreen> screened = core::store_screen(
+          store_, static_cast<std::size_t>(limit64), rows, delta, prefilter,
+          ops);
+      std::size_t count = 0;
+      for (const core::StoreScreen& p : screened) count += p.row.flagged.size();
       FrameBuilder b(out, MsgType::kCrossFlagResult);
-      b.put_u32(static_cast<std::uint32_t>(result.size()));
-      for (const Hit& h : result) {
-        b.put_u32(h.probe);
-        b.put_u64(h.local);
-        b.put_f32(h.similarity);
+      b.put_u32(static_cast<std::uint32_t>(count));
+      for (std::uint32_t r = 0; r < nprobes; ++r) {
+        for (const core::ScreenMatch& m : screened[r].row.flagged) {
+          b.put_u32(r);
+          b.put_u64(m.index);
+          b.put_f32(m.similarity);
+        }
       }
       b.finish();
       socket.write_all(out.data(), out.size());

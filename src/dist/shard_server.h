@@ -6,12 +6,13 @@
 // in-process ShardedCorpus runs per shard — int8 prefilter, exact
 // scalar rescoring, per-shard first-max best resolution — so what
 // crosses the wire back is only the shard's exact *partials* (flagged
-// matches, the shard-local best, top-k prefix), never raw rows or
-// bound-approximate values. That server-side resolution is both the
-// perf point (a 10k-row shard screen returns a handful of matches, not
-// 10k floats) and the determinism point: every similarity a server
-// reports is the scalar cosine_cell of the same row bytes the
-// in-process path would read, so the front end's fixed-tie-break
+// matches, the shard-local best, top-k prefix — core::store_screen and
+// core::store_top_k, the very functions ShardedCorpus runs per shard),
+// never raw rows or bound-approximate values. That server-side
+// resolution is both the perf point (a 10k-row shard screen returns a
+// handful of matches, not 10k floats) and the determinism point: every
+// similarity a server reports is the scalar cosine_cell of the same row
+// bytes the in-process path would read, so the front end's fixed-tie-break
 // merges reproduce in-process verdicts bit for bit
 // (docs/ARCHITECTURE.md, "Distributed screening").
 //

@@ -5,7 +5,9 @@
 // capacity bounds, evict-then-resubmit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <string>
@@ -19,6 +21,7 @@
 #include "data/corpus.h"
 #include "data/rtl_designs.h"
 #include "util/contract.h"
+#include "util/rng.h"
 
 namespace gnn4ip::audit {
 namespace {
@@ -293,6 +296,84 @@ TEST(AuditService, TopKIndicesConsistentWithNames) {
   }
   EXPECT_THROW((void)service.top_k("not-resident", 1),
                util::ContractViolation);
+}
+
+TEST(AuditService, NameIndexStaysConsistentThroughChurn) {
+  // The name index maps a name to a slot whose corpus index compaction
+  // rewrites in place. Through a few hundred commits with capacity
+  // evictions, same-name replacements, pin and unpin, per-shard budget
+  // evictions and a snapshot round trip, every resident name must
+  // resolve to its own live row after every commit, and no slot leaks.
+  gnn::Hw2Vec model;
+  const auto entries = small_corpus();
+  AuditOptions options;
+  options.num_shards = 2;
+  options.max_resident = 12;
+  options.shard_budget = 7;
+  AuditService service(model, options);
+  std::vector<std::string> names;
+  for (int n = 0; n < 24; ++n) names.push_back("d" + std::to_string(n));
+  const auto check = [&](std::size_t step) {
+    const core::CorpusBackend& corpus = service.corpus();
+    for (const std::string& name : names) {
+      const std::size_t index = service.index_of(name);
+      ASSERT_EQ(index != kNoIndex, service.contains(name)) << step;
+      if (index == kNoIndex) continue;
+      ASSERT_LT(index, corpus.size()) << step << " " << name;
+      ASSERT_TRUE(corpus.live(index)) << step << " " << name;
+      ASSERT_EQ(corpus.name(index), name) << step;
+    }
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      if (corpus.live(i)) {
+        ASSERT_EQ(service.index_of(corpus.name(i)), i) << step;
+      }
+    }
+    const AuditService::NameSlots slots = service.name_slots();
+    ASSERT_EQ(slots.names, corpus.live_count()) << step;
+    ASSERT_EQ(slots.names + slots.free, slots.table) << step;
+  };
+  names.push_back("lib");
+  ASSERT_TRUE(service.add_library("lib", entries[0].tensors).accepted);
+  check(0);
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "gnn4ip_audit_churn")
+          .string();
+  util::Rng rng(29);
+  std::size_t replaced = 0;
+  std::size_t budget_evictions = 0;
+  for (std::size_t step = 1; step <= 300; ++step) {
+    const std::string& name = names[rng.next_below(names.size() - 1)];
+    const bool resident = service.contains(name);
+    replaced += resident ? 1 : 0;
+    const std::size_t before = service.resident();
+    ASSERT_TRUE(service.submit(
+        name, entries[rng.next_below(entries.size())].tensors));
+    ASSERT_EQ(service.screen().size(), 1u);
+    // More rows gone than max_resident asks for: a shard went over its
+    // budget and gave one up.
+    const std::size_t cap_only =
+        std::min(options.max_resident, before + (resident ? 0 : 1));
+    budget_evictions += service.resident() < cap_only ? 1 : 0;
+    if (step % 23 == 0 && service.contains(name)) service.pin(name);
+    if (step % 37 == 0) {
+      for (const std::string& n : names) {
+        if (n != "lib") service.unpin(n);
+      }
+    }
+    if (step % 50 == 0) {
+      ASSERT_TRUE(service.add_library("lib", entries[step % 8].tensors)
+                      .accepted);
+    }
+    if (step == 150) {
+      service.save_corpus(dir);
+      service.load_corpus(dir);
+    }
+    check(step);
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(replaced, 0u);
+  EXPECT_GT(budget_evictions, 0u);
 }
 
 TEST(AuditService, BoundedQueueRefusesBeyondCapacityUntilScreened) {

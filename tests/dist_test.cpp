@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "audit/audit_service.h"
 #include "core/gnn4ip.h"
+#include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
 #include "data/corpus.h"
 #include "dist/dist_corpus.h"
@@ -120,6 +122,50 @@ void expect_pairs_equal(const std::vector<PairScore>& got,
     EXPECT_EQ(got[i].b, want[i].b) << label << " #" << i;
     EXPECT_EQ(got[i].similarity, want[i].similarity) << label << " #" << i;
   }
+}
+
+/// A TopK request straight over the wire to one shard server, with a
+/// candidate limit the test picks: rows past it are the ones a front end
+/// admitted after its snapshot, which the shard must leave out.
+std::vector<core::ScreenMatch> raw_top_k(std::uint16_t port,
+                                        std::span<const float> probe,
+                                        std::uint64_t k, std::uint64_t limit,
+                                        bool prefilter) {
+  net::Socket sock = net::Socket::connect_to("127.0.0.1", port);
+  sock.set_recv_timeout(2000);
+  std::vector<std::uint8_t> buf;
+  {
+    net::FrameBuilder b(buf, net::MsgType::kHello);
+    b.put_bytes(net::kWireMagic, sizeof(net::kWireMagic));
+    b.put_u32(net::kWireVersion);
+    b.put_u32(net::kWireByteOrderMark);
+    b.put_u32(static_cast<std::uint32_t>(probe.size()));
+    b.put_string("");
+    b.finish();
+  }
+  sock.write_all(buf.data(), buf.size());
+  (void)net::expect_frame(sock, net::MsgType::kHelloAck);
+  buf.clear();
+  {
+    net::FrameBuilder b(buf, net::MsgType::kTopK);
+    b.put_u32(static_cast<std::uint32_t>(probe.size()));
+    b.put_u64(k);
+    b.put_u64(limit);
+    b.put_u64(std::numeric_limits<std::uint64_t>::max());  // exclude none
+    b.put_u8(prefilter ? 1 : 0);
+    b.put_bytes(probe.data(), probe.size() * sizeof(float));
+    b.finish();
+  }
+  sock.write_all(buf.data(), buf.size());
+  const net::Frame frame = net::expect_frame(sock, net::MsgType::kTopKResult);
+  net::FrameCursor cur(frame.payload);
+  std::vector<core::ScreenMatch> result(cur.get_u32("match count"));
+  for (core::ScreenMatch& m : result) {
+    m.index = static_cast<std::size_t>(cur.get_u64("match local"));
+    m.similarity = cur.get_f32("match similarity");
+  }
+  cur.done("TopKResult");
+  return result;
 }
 
 std::string snapshot_dir(const std::string& leaf) {
@@ -248,6 +294,67 @@ TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
                         label + " (post-compact)");
       expect_pairs_equal(corpus->flag(-0.5F), reference.flag(-0.5F),
                          label + " (post-compact)");
+
+      // More top_k inputs: each design under two more names with its
+      // embedding (exact ties across shards), tombstones inside the
+      // candidate prefix, every live query with k = 1 up to past the
+      // live candidates, then a query alone in its shard.
+      for (std::size_t copy = 1; copy <= 2; ++copy) {
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          const std::string name = entries[i].name + "@" + std::to_string(copy);
+          ASSERT_EQ(corpus->add(name, embeddings[i]),
+                    reference.add(name, embeddings[i]));
+        }
+      }
+      for (const std::size_t dead : {2UL, 7UL, 12UL}) {
+        corpus->remove(dead);
+        reference.remove(dead);
+      }
+      const auto expect_top_k = [&](std::size_t q, const std::string& what) {
+        for (const std::size_t k :
+             {1UL, 2UL, 3UL, reference.live_count() + 2}) {
+          expect_pairs_equal(corpus->top_k(q, k), reference.top_k(q, k),
+                             label + what + " q=" + std::to_string(q) +
+                                 " k=" + std::to_string(k));
+        }
+      };
+      for (std::size_t q = 0; q < reference.size(); ++q) {
+        if (reference.live(q)) expect_top_k(q, " (ties)");
+      }
+      if (shards > 1) {
+        for (std::size_t j = 1; j < reference.size(); ++j) {
+          if (reference.live(j) &&
+              reference.shard_of(j) == reference.shard_of(0)) {
+            corpus->remove(j);
+            reference.remove(j);
+          }
+        }
+        expect_top_k(0, " (alone in its shard)");
+      }
+
+      // Rows past the candidate limit are out of the ranking: shard 0's
+      // store is the same on the server and in process, so its prefix
+      // ranks like the in-process per-store top_k over that prefix.
+      corpus.reset();  // hang up: the server takes one front end at a time
+      const core::EmbeddingStore& store = reference.shard(0);
+      for (const std::size_t limit : {store.size(), store.size() - 2}) {
+        for (const std::uint64_t k : {1UL, 3UL, 100UL}) {
+          const std::vector<core::ScreenMatch> want =
+              core::store_top_k(store, limit, core::EmbeddingStore::kNoIndex,
+                                store, 0, k, /*prefilter=*/false,
+                                core::kernel_ops(core::KernelBackend::kScalar));
+          const std::vector<core::ScreenMatch> got =
+              raw_top_k(cluster.servers[0]->port(), store.row(0), k, limit,
+                        prefilter);
+          ASSERT_EQ(got.size(), want.size()) << label << " limit " << limit;
+          for (std::size_t r = 0; r < want.size(); ++r) {
+            EXPECT_EQ(got[r].index, want[r].index)
+                << label << " limit " << limit;
+            EXPECT_EQ(got[r].similarity, want[r].similarity)
+                << label << " limit " << limit;
+          }
+        }
+      }
     }
   }
 }

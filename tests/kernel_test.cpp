@@ -27,6 +27,7 @@
 #include "core/cosine_kernels.h"
 #include "core/embedding_store.h"
 #include "core/gnn4ip.h"
+#include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
 #include "core/simd_dispatch.h"
 #include "data/corpus.h"
@@ -551,15 +552,86 @@ TEST(QuantPrefilter, TopKBitIdenticalToExhaustiveScan) {
   ShardedCorpus pre(4, pre_options);
   fill_synth_corpus(exact, kRows, 8, kDim);
   fill_synth_corpus(pre, kRows, 8, kDim);
+  const auto expect_same = [&](std::size_t i, std::size_t k) {
+    const std::vector<PairScore> want = exact.top_k(i, k);
+    const std::vector<PairScore> got = pre.top_k(i, k);
+    ASSERT_EQ(got.size(), want.size()) << "i=" << i << " k=" << k;
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].a, want[r].a);
+      EXPECT_EQ(got[r].b, want[r].b);
+      EXPECT_EQ(got[r].similarity, want[r].similarity);
+    }
+  };
   for (const std::size_t i : {0UL, 777UL, kRows + 3UL}) {
-    for (const std::size_t k : {1UL, 5UL, 32UL}) {
-      const std::vector<PairScore> want = exact.top_k(i, k);
-      const std::vector<PairScore> got = pre.top_k(i, k);
-      ASSERT_EQ(got.size(), want.size()) << "i=" << i << " k=" << k;
-      for (std::size_t r = 0; r < want.size(); ++r) {
-        EXPECT_EQ(got[r].a, want[r].a);
-        EXPECT_EQ(got[r].b, want[r].b);
-        EXPECT_EQ(got[r].similarity, want[r].similarity);
+    for (const std::size_t k : {1UL, 5UL, 32UL}) expect_same(i, k);
+  }
+
+  // More inputs for the threshold cut: four more names holding row
+  // 777's embedding (exact ties straddle the k-th place), tombstones
+  // inside the candidate prefix, a query (row 1500) alone in its shard,
+  // and k from 1 up to past the live candidates.
+  const std::size_t first_tie = exact.size();
+  const tensor::Matrix tied = row_matrix(exact.row(777));
+  for (ShardedCorpus* corpus : {&exact, &pre}) {
+    for (int copy = 0; copy < 4; ++copy) {
+      corpus->add("tie#" + std::to_string(copy), tied);
+    }
+    for (const std::size_t dead : {3UL, 500UL, 1200UL}) corpus->remove(dead);
+    for (std::size_t j = 0; j < corpus->size(); ++j) {
+      if (j != 1500 && corpus->live(j) &&
+          corpus->shard_of(j) == corpus->shard_of(1500)) {
+        corpus->remove(j);
+      }
+    }
+  }
+  ASSERT_EQ(pre.shard_live_count(pre.shard_of(1500)), 1u);
+  const std::size_t live = pre.live_count();
+  for (const std::size_t i : {777UL, first_tie, first_tie + 3, 1500UL, 0UL}) {
+    if (!pre.live(i)) continue;
+    for (const std::size_t k : {1UL, 2UL, 4UL, 5UL, 32UL, live - 1, live + 9}) {
+      expect_same(i, k);
+    }
+  }
+
+  // The per-store function itself, on every backend, against a brute
+  // force over the store: candidate limits below the store size (rows
+  // admitted after a snapshot), tombstones, an excluded row, and ties.
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  for (const KernelBackend b : supported_simd_backends()) backends.push_back(b);
+  for (std::size_t s = 0; s < pre.num_shards(); ++s) {
+    const EmbeddingStore& store = pre.shard(s);
+    const std::size_t n = store.size();
+    for (const std::size_t limit : {n, n - 7, n / 2, std::size_t{1}}) {
+      for (const std::size_t query : {std::size_t{0}, n - 1, n / 3}) {
+        for (const std::size_t exclude : {EmbeddingStore::kNoIndex, query}) {
+          for (const std::size_t k : {1UL, 4UL, 10UL, limit + 1}) {
+            std::vector<ScreenMatch> want;
+            for (std::size_t j = 0; j < limit; ++j) {
+              if (j == exclude || !store.live(j)) continue;
+              const float sim =
+                  cosine_cell(store.row(query).data(), store.row(j).data(),
+                              kDim, store.norm(query) * store.norm(j));
+              want.push_back({j, sim});
+            }
+            std::stable_sort(want.begin(), want.end(),
+                             [](const ScreenMatch& x, const ScreenMatch& y) {
+                               return x.similarity > y.similarity;
+                             });
+            want.resize(std::min(k, want.size()));
+            for (const KernelBackend b : backends) {
+              const std::vector<ScreenMatch> got =
+                  store_top_k(store, limit, exclude, store, query, k,
+                              /*prefilter=*/true, kernel_ops(b));
+              ASSERT_EQ(got.size(), want.size())
+                  << backend_name(b) << " shard " << s << " limit " << limit
+                  << " query " << query << " k " << k;
+              for (std::size_t r = 0; r < want.size(); ++r) {
+                EXPECT_EQ(got[r].index, want[r].index);
+                EXPECT_EQ(got[r].similarity, want[r].similarity);
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -594,39 +666,63 @@ TEST(QuantPrefilter, ScreenInvariantAcrossShardAndWorkerCounts) {
   constexpr std::size_t kFresh = 6;
   constexpr std::size_t kDim = 16;
   constexpr float kDelta = 0.5F;
+  // Past the synthetic rows: three more names holding resident row 17's
+  // embedding, then a probe near it. Screened at δ = 0.99, its best is a
+  // four-way exact tie no bound can settle, resolved by lowest index.
+  constexpr std::size_t kTieProbe = kResident + kFresh + 3;
+  const auto fill = [&](ShardedCorpus& corpus) {
+    fill_synth_corpus(corpus, kResident, kFresh, kDim);
+    const tensor::Matrix tied = row_matrix(corpus.row(17));
+    for (int copy = 0; copy < 3; ++copy) {
+      corpus.add("tie#" + std::to_string(copy), tied);
+    }
+    tensor::Matrix probe = tied;
+    util::Rng rng(5);
+    for (float& x : probe.row(0)) x += rng.uniform(-0.5F, 0.5F);
+    corpus.add("near#17", probe);
+  };
   // Reference: exhaustive, single shard, inline workers.
   ScorerOptions exact_options;
   exact_options.num_threads = 1;
   ShardedCorpus reference(1, exact_options);
-  fill_synth_corpus(reference, kResident, kFresh, kDim);
+  fill(reference);
   const std::vector<ScreenRow> want =
       reference.screen_new_rows(kResident, kDelta);
+  const std::vector<ScreenRow> want_tied =
+      reference.screen_new_rows(kTieProbe, 0.99F);
+  ASSERT_TRUE(want_tied[0].flagged.empty());
+  ASSERT_EQ(want_tied[0].best->index, 17u);
   for (const std::size_t shards : {1UL, 2UL, 4UL}) {
     for (const std::size_t workers : {1UL, 2UL, 8UL}) {
       ScorerOptions options;
       options.int8_prefilter = true;
       options.num_threads = workers;
       ShardedCorpus corpus(shards, options);
-      fill_synth_corpus(corpus, kResident, kFresh, kDim);
-      const std::vector<ScreenRow> got =
-          corpus.screen_new_rows(kResident, kDelta);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t r = 0; r < want.size(); ++r) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " workers=" + std::to_string(workers) +
-                     " row=" + std::to_string(r));
-        ASSERT_EQ(got[r].flagged.size(), want[r].flagged.size());
-        for (std::size_t m = 0; m < want[r].flagged.size(); ++m) {
-          EXPECT_EQ(got[r].flagged[m].index, want[r].flagged[m].index);
-          EXPECT_EQ(got[r].flagged[m].similarity,
-                    want[r].flagged[m].similarity);
+      fill(corpus);
+      for (const bool tied : {false, true}) {
+        const std::vector<ScreenRow> got =
+            tied ? corpus.screen_new_rows(kTieProbe, 0.99F)
+                 : corpus.screen_new_rows(kResident, kDelta);
+        const std::vector<ScreenRow>& expected = tied ? want_tied : want;
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t r = 0; r < expected.size(); ++r) {
+          SCOPED_TRACE("shards=" + std::to_string(shards) +
+                       " workers=" + std::to_string(workers) +
+                       " row=" + std::to_string(r) + (tied ? " tied" : ""));
+          ASSERT_EQ(got[r].flagged.size(), expected[r].flagged.size());
+          for (std::size_t m = 0; m < expected[r].flagged.size(); ++m) {
+            EXPECT_EQ(got[r].flagged[m].index, expected[r].flagged[m].index);
+            EXPECT_EQ(got[r].flagged[m].similarity,
+                      expected[r].flagged[m].similarity);
+          }
+          ASSERT_EQ(got[r].best.has_value(), expected[r].best.has_value());
+          if (expected[r].best) {
+            EXPECT_EQ(got[r].best->index, expected[r].best->index);
+            EXPECT_EQ(got[r].best->similarity,
+                      expected[r].best->similarity);
+          }
+          EXPECT_EQ(got[r].scanned, expected[r].scanned);
         }
-        ASSERT_EQ(got[r].best.has_value(), want[r].best.has_value());
-        if (want[r].best) {
-          EXPECT_EQ(got[r].best->index, want[r].best->index);
-          EXPECT_EQ(got[r].best->similarity, want[r].best->similarity);
-        }
-        EXPECT_EQ(got[r].scanned, want[r].scanned);
       }
     }
   }

@@ -173,6 +173,61 @@ TEST(ShardedCorpus, TopKAndFlagBitIdenticalAcrossShardAndWorkerCounts) {
       }
     }
   }
+
+  // More top_k inputs, with the int8 prefilter off and on: every design
+  // resident under four names with one embedding (exact ties straddle
+  // the k-th place), k = 1 up to k ≥ live candidates, every live row as
+  // the query, tombstones inside the candidate prefix, and — after the
+  // query's shard mates are removed — a query alone in its shard.
+  const auto expect_top_k = [&](const ShardedCorpus& corpus,
+                                const PairwiseScorer& ref, std::size_t q,
+                                const std::string& label) {
+    for (const std::size_t k : {1UL, 3UL, 4UL, 5UL, ref.live_count() - 1,
+                                ref.live_count() + 3}) {
+      const std::vector<PairScore> want = ref.top_k(q, k);
+      const std::vector<PairScore> got = corpus.top_k(q, k);
+      ASSERT_EQ(got.size(), want.size()) << label << " q=" << q << " k=" << k;
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got[r].b, want[r].b) << label << " q=" << q << " k=" << k;
+        EXPECT_EQ(got[r].similarity, want[r].similarity)
+            << label << " q=" << q << " k=" << k;
+      }
+    }
+  };
+  for (const bool prefilter : {false, true}) {
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      const std::string label = std::to_string(shards) + " shards, prefilter " +
+                                (prefilter ? "on" : "off");
+      ScorerOptions options;
+      options.int8_prefilter = prefilter;
+      ShardedCorpus corpus(shards, options);
+      PairwiseScorer ref;
+      for (std::size_t owner = 0; owner < 4; ++owner) {
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          const std::string name =
+              entries[i].name + "@owner" + std::to_string(owner);
+          ASSERT_EQ(corpus.add(name, embeddings[i]),
+                    ref.add(name, embeddings[i]));
+        }
+      }
+      for (const std::size_t dead : {1UL, 6UL, 13UL}) {
+        corpus.remove(dead);
+        ref.remove(dead);
+      }
+      for (std::size_t q = 0; q < ref.size(); ++q) {
+        if (ref.live(q)) expect_top_k(corpus, ref, q, label);
+      }
+      if (shards == 1) continue;
+      for (std::size_t j = 1; j < ref.size(); ++j) {
+        if (ref.live(j) && corpus.shard_of(j) == corpus.shard_of(0)) {
+          corpus.remove(j);
+          ref.remove(j);
+        }
+      }
+      ASSERT_EQ(corpus.shard_live_count(corpus.shard_of(0)), 1u) << label;
+      expect_top_k(corpus, ref, 0, label + ", query alone in its shard");
+    }
+  }
 }
 
 TEST(ShardedCorpus, CompactRenumbersDenselyInInsertionOrderPerShard) {
