@@ -48,6 +48,15 @@ break them:
                   ...), and the header includes no caller can do
                   without.
 
+  prefilter-sweep Calls through a kernel table to quant_screen_sweep or
+                  quant_survivor_scan (`ops.quant_screen_sweep(...)`)
+                  anywhere in src/ outside src/core/shard_sweep.cpp.
+                  Every retrieval decision the int8 prefilter makes
+                  (screen, flag, top_k) lives in that one file, so
+                  in-process and remote results agree because there is
+                  one copy; a second sweep elsewhere would have to be
+                  kept bit-identical by testing alone.
+
 Findings are suppressed by a waiver on the offending line or the line
 directly above it, with a mandatory reason:
 
@@ -91,6 +100,10 @@ RAW_SOCKET_RE = re.compile(
     r"|#\s*include\s*<(?:sys/socket\.h|sys/un\.h|sys/uio\.h|netinet/[\w/.]+"
     r"|arpa/[\w/.]+|netdb\.h|poll\.h)>"
 )
+PREFILTER_SWEEP_RE = re.compile(
+    r"(?:\.|->)\s*(?:quant_screen_sweep|quant_survivor_scan)\s*\("
+)
+PREFILTER_SWEEP_HOME = Path("src/core/shard_sweep.cpp")
 ACCUM_CALL_RE = re.compile(r"std::(?:accumulate|reduce)\b")
 FP_DECL_RE = re.compile(r"\b(?:float|double)\s+(\w+)\s*(?:=|\{|;)")
 UNORDERED_DECL_RE = re.compile(
@@ -230,6 +243,14 @@ class Linter:
                     "socket(2)-family syscall or networking header outside "
                     "src/net/; all wire traffic goes through net::Socket so "
                     "framing and typed-error semantics stay in one seam",
+                    waived,
+                )
+            if rel != PREFILTER_SWEEP_HOME and PREFILTER_SWEEP_RE.search(line):
+                self.report(
+                    path, idx, "prefilter-sweep",
+                    "prefilter kernel call outside src/core/shard_sweep.cpp; "
+                    "retrieval sweeps have one copy, shared by the in-process "
+                    "and remote corpora",
                     waived,
                 )
             if in_determinism_scope:

@@ -138,6 +138,27 @@ check("raw-socket in comments and strings is inert",
        "// callers must never call socket(2) directly\n"
        "/* ::connect(fd, addr, len) would bypass the seam */\n"}, [])
 
+# --------------------------------------------------------- prefilter-sweep
+check("prefilter-sweep allowed in src/core/shard_sweep.cpp",
+      {"src/core/shard_sweep.cpp":
+       "const std::size_t n = ops.quant_screen_sweep(qc, q, base, d, soa,\n"
+       "    limit, prune_max, dots, num, den, hits);\n"
+       "const std::size_t m = ops.quant_survivor_scan(num, den, limit, lb, hits);\n"},
+      [])
+check("prefilter-sweep fires on a sweep outside shard_sweep.cpp",
+      {"src/dist/a.cpp":
+       "const std::size_t n = ops.quant_screen_sweep(qc, q, base, d, soa,\n"
+       "    limit, prune_max, dots, num, den, hits);\n"
+       "n = table->quant_survivor_scan(num, den, limit, lb, hits);\n"},
+      ["prefilter-sweep", "prefilter-sweep"])
+check("prefilter-sweep quiet on the kernel table's own definitions",
+      {"src/core/simd_dispatch.cpp":
+       "std::size_t quant_screen_sweep_scalar(const QuantSweepQuery& qc);\n"
+       "static const KernelOps t = {kScalar, &quant_screen_sweep_scalar};\n",
+       "src/core/simd_dispatch.h":
+       "std::size_t (*quant_screen_sweep)(const QuantSweepQuery& qc);\n"},
+      [])
+
 # ------------------------------------------------------------- exit status
 clean = lint_tree({"src/core/a.cpp": "int x = 0;\n"})
 if clean.findings:

@@ -56,11 +56,6 @@ tensor::Matrix cosine_rows(std::span<const float> a, std::size_t a_rows,
   const std::size_t row_tiles = (a_rows + block - 1) / block;
   const std::size_t col_tiles = (b_rows + block - 1) / block;
 
-  // Exact scoring pins the scalar sweep (a loop over cosine_cell —
-  // today's bits); opting out dispatches the tile inner loop to the
-  // resolved SIMD backend.
-  const KernelOps& ops = kernel_ops(
-      options.exact_scoring ? KernelBackend::kScalar : options.kernel);
   const auto run_tile = [&](std::size_t tile) {
     const std::size_t i0 = (tile / col_tiles) * block;
     const std::size_t j0 = (tile % col_tiles) * block;
@@ -69,8 +64,10 @@ tensor::Matrix cosine_rows(std::span<const float> a, std::size_t a_rows,
     for (std::size_t i = i0; i < i1; ++i) {
       const float* ra = a.data() + i * dim;
       const std::span<float> out = result.row(i);
-      ops.cosine_sweep(ra, norms_a[i], b.data() + j0 * dim, norms_b.data() + j0,
-                       j1 - j0, dim, out.data() + j0);
+      for (std::size_t j = j0; j < j1; ++j) {
+        out[j] = cosine_cell(ra, b.data() + j * dim, dim,
+                             norms_a[i] * norms_b[j]);
+      }
     }
   };
   util::parallel_for(row_tiles * col_tiles, options.num_threads, run_tile);

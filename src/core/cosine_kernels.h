@@ -40,18 +40,11 @@ struct ScorerOptions {
   std::size_t block_rows = 64;
   /// Decision boundary δ (Alg. 1): a pair is piracy when Ŷ > delta.
   float delta = 0.5F;
-  /// Kernel backend for the dispatched paths (simd_dispatch.h). The
-  /// int8 prefilter screen uses it unconditionally (integer kernels are
-  /// bit-identical across backends); float scoring uses it only when
-  /// exact_scoring is off.
+  /// Kernel backend for the int8 prefilter sweeps (simd_dispatch.h).
+  /// Every float similarity is the scalar cosine_cell whatever this
+  /// says, and the backends decide candidacy soundly, so results are
+  /// bit-identical for any value.
   KernelBackend kernel = KernelBackend::kAuto;
-  /// true (default): every float similarity is computed by the scalar
-  /// reference kernels — the cross-layer bit-identity contract. false:
-  /// float sweeps may use the resolved SIMD backend, which reassociates
-  /// the adds (≈1e-6 agreement with scalar, no bit guarantee). Verdict
-  /// paths (AuditService, screen_new_rows rescoring) ignore this and
-  /// always score exact.
-  bool exact_scoring = true;
   /// Enable the int8 quantized prefilter tier in
   /// ShardedCorpus::screen_new_rows / top_k / flag: candidates are
   /// screened by an int8 dot product with rigorous cosine bounds, and
@@ -90,7 +83,7 @@ inline constexpr float kNormFloor = 1e-8F;
 /// One cell of the batched kernels: ascending-k dot of two D-rows over a
 /// precomputed norm product, floored and clamped. THE per-cell
 /// definition — every loop that scores rows against precomputed norms
-/// (cosine_rows, the score_new_rows paths, ShardedCorpus's pair sweep)
+/// (cosine_rows, the score_new_rows paths, the shard_sweep.h sweeps)
 /// must call this so the cross-layer bit-identity contract has exactly
 /// one implementation to drift from.
 [[nodiscard]] inline float cosine_cell(const float* a, const float* b,
@@ -186,7 +179,7 @@ struct QuantGate {
   return (residual + slack) * 1.000001 + 1e-12;
 }
 
-/// The query-side coefficients of KernelOps::quant_margin_sweep —
+/// The query-side coefficients of KernelOps::quant_screen_sweep —
 /// algebraically `approx + quant_gate_spread` with the a-row terms
 /// factored out and the 1.000001 margin distributed onto each
 /// coefficient: num = c_scale·s_b·dot + c_e·e_b + c_sq·(s_b·‖q_b‖) +

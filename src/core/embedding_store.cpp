@@ -120,11 +120,6 @@ void EmbeddingStore::remove(std::size_t i) {
   --live_count_;
 }
 
-bool EmbeddingStore::live(std::size_t i) const {
-  GNN4IP_ENSURE(i < names_.size(), "EmbeddingStore: index out of range");
-  return !dead_[i];
-}
-
 std::vector<std::size_t> EmbeddingStore::compact() {
   std::vector<std::size_t> mapping(names_.size(), kNoIndex);
   std::size_t next = 0;

@@ -36,6 +36,7 @@
 
 #include "core/cosine_kernels.h"
 #include "tensor/matrix.h"
+#include "util/contract.h"
 
 namespace gnn4ip::core {
 
@@ -100,8 +101,12 @@ class EmbeddingStore {
   /// live-row consumers and erased by the next compact().
   void remove(std::size_t i);
 
-  /// True while row `i` has not been removed.
-  [[nodiscard]] bool live(std::size_t i) const;
+  /// True while row `i` has not been removed. Inline: the screening
+  /// sweeps test it once per candidate.
+  [[nodiscard]] bool live(std::size_t i) const {
+    GNN4IP_ENSURE(i < names_.size(), "EmbeddingStore: index out of range");
+    return !dead_[i];
+  }
 
   /// Rows not yet removed.
   [[nodiscard]] std::size_t live_count() const { return live_count_; }

@@ -64,17 +64,17 @@ tensor::Matrix PairwiseScorer::score_new_rows(std::size_t first_new) const {
   // Rows are read straight out of the resident cache — no N×D copy — so
   // screening ΔN incoming designs really is O(ΔN·N·D). The store's
   // cached norms carry the same ascending-k row_norm bits the old
-  // per-call recomputation produced, and exact mode pins the scalar
-  // sweep (a loop over cosine_cell), keeping the rows bit-identical to
-  // the matching score_matrix() rows; exact_scoring == false dispatches
-  // the fused sweep to the resolved SIMD backend.
+  // per-call recomputation produced, and every cell is cosine_cell,
+  // keeping the rows bit-identical to the matching score_matrix() rows.
   const std::span<const float> norms = store_.norms();
   const float* data = rows().data();
-  const KernelOps& ops = kernel_ops(
-      options_.exact_scoring ? KernelBackend::kScalar : options_.kernel);
   for (std::size_t r = 0; r < new_rows; ++r) {
-    ops.cosine_sweep(data + (first_new + r) * d, norms[first_new + r], data,
-                     norms.data(), n, d, result.row(r).data());
+    const float* q = data + (first_new + r) * d;
+    const float q_norm = norms[first_new + r];
+    const std::span<float> out = result.row(r);
+    for (std::size_t j = 0; j < n; ++j) {
+      out[j] = cosine_cell(q, data + j * d, d, q_norm * norms[j]);
+    }
   }
   return result;
 }

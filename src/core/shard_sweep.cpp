@@ -9,21 +9,67 @@
 
 namespace gnn4ip::core {
 
-std::vector<StoreScreen> store_screen(const EmbeddingStore& store,
-                                      std::size_t limit,
-                                      std::span<const ScreenProbe> probes,
-                                      float delta, bool prefilter,
-                                      const KernelOps& ops) {
-  std::vector<StoreScreen> out(probes.size());
+namespace {
+
+/// A candidate the prefilter pruned from the screen's rescore class that
+/// may still be the best match: its local row and upper bound.
+struct BandCandidate {
+  std::size_t local = 0;
+  float ub = 0.0F;
+};
+
+/// Resolve `row.best` against the band: walk it in descending bound
+/// order (ascending local index on ties), rescoring exactly until no
+/// remaining bound can beat or index-tie-break the best. Every rescore
+/// counts in row.rescored.
+void settle_best(std::vector<BandCandidate>& band, const ScreenProbe& probe,
+                 const EmbeddingStore& store, ScreenRow& row) {
+  std::sort(band.begin(), band.end(),
+            [](const BandCandidate& x, const BandCandidate& y) {
+              if (x.ub != y.ub) return x.ub > y.ub;
+              return x.local < y.local;
+            });
+  std::optional<ScreenMatch>& best = row.best;
+  for (const BandCandidate& c : band) {
+    if (best) {
+      if (c.ub < best->similarity) break;
+      if (c.ub == best->similarity && c.local > best->index) continue;
+    }
+    ++row.rescored;
+    const float sim =
+        cosine_cell(probe.row, store.row(c.local).data(), store.dim(),
+                    probe.norm * store.norm(c.local));
+    if (!best || sim > best->similarity ||
+        (sim == best->similarity && c.local < best->index)) {
+      best = ScreenMatch{c.local, sim};
+    }
+  }
+}
+
+}  // namespace
+
+ScreenProbe screen_probe(const EmbeddingStore& store, std::size_t i) {
+  return {store.row(i).data(), store.norm(i),
+          make_quant_gate(store.quant_view(i), store.dim())};
+}
+
+std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
+                                    std::size_t limit,
+                                    std::span<const ScreenProbe> probes,
+                                    float delta, bool prefilter,
+                                    const KernelOps& ops) {
+  std::vector<ScreenRow> out(probes.size());
   const std::size_t d = store.dim();
   if (!prefilter) {
     // Candidate-outer, so each resident row is read once for all probes.
+    const float* rows = store.rows().data();
+    const std::span<const float> norms = store.norms();
     for (std::size_t local = 0; local < limit; ++local) {
       if (!store.live(local)) continue;
-      const float* rb = store.row(local).data();
-      const float norm_b = store.norm(local);
+      const float* rb = rows + local * d;
+      const float norm_b = norms[local];
       for (std::size_t r = 0; r < probes.size(); ++r) {
-        ScreenRow& p = out[r].row;
+        ScreenRow& p = out[r];
         ++p.scanned;
         ++p.rescored;
         const float sim =
@@ -56,8 +102,9 @@ std::vector<StoreScreen> store_screen(const EmbeddingStore& store,
   // clamped); a sub-range delta disables pruning (−inf: every row is a
   // hit and rescores — the exact sweep).
   const double prune_max = delta >= -1.0F ? static_cast<double>(delta) : -kInf;
+  std::vector<BandCandidate> band;
   for (std::size_t r = 0; r < probes.size(); ++r) {
-    ScreenRow& p = out[r].row;
+    ScreenRow& p = out[r];
     p.scanned = live_n;
     if (limit == 0) continue;
     const ScreenProbe& probe = probes[r];
@@ -84,6 +131,7 @@ std::vector<StoreScreen> store_screen(const EmbeddingStore& store,
     double best_lb_d = best_lb;
     const std::size_t n_band = ops.quant_survivor_scan(
         num.get(), den.get(), limit, keep_lb, hits.get());
+    band.clear();
     for (std::size_t h = 0; h < n_band; ++h) {
       const std::size_t local = hits[h];
       if (!store.live(local)) continue;
@@ -96,39 +144,74 @@ std::vector<StoreScreen> store_screen(const EmbeddingStore& store,
       const CosineBounds bounds = quant_gate_bounds(
           probe.gate, make_quant_gate(store.quant_view(local), d),
           dots[local]);
-      out[r].band.push_back({local, bounds.ub, 0, local});
+      band.push_back({local, bounds.ub});
       if (bounds.lb > best_lb) {
         best_lb = bounds.lb;
         best_lb_d = bounds.lb;
       }
     }
+    settle_best(band, probe, store, p);
   }
   return out;
 }
 
-void settle_best(std::vector<BandCandidate> band, const ScreenProbe& probe,
-                 std::span<const EmbeddingStore> stores, ScreenRow& row) {
-  std::sort(band.begin(), band.end(),
-            [](const BandCandidate& x, const BandCandidate& y) {
-              if (x.ub != y.ub) return x.ub > y.ub;
-              return x.index < y.index;
-            });
-  std::optional<ScreenMatch>& best = row.best;
-  for (const BandCandidate& c : band) {
-    if (best) {
-      if (c.ub < best->similarity) break;
-      if (c.ub == best->similarity && c.index > best->index) continue;
-    }
-    const EmbeddingStore& store = stores[c.store];
-    ++row.rescored;
-    const float sim =
-        cosine_cell(probe.row, store.row(c.local).data(), store.dim(),
-                    probe.norm * store.norm(c.local));
-    if (!best || sim > best->similarity ||
-        (sim == best->similarity && c.index < best->index)) {
-      best = ScreenMatch{c.index, sim};
+std::vector<PairScore> store_flag(const EmbeddingStore& store,
+                                  std::size_t limit, float delta,
+                                  bool prefilter, const KernelOps& ops) {
+  std::vector<PairScore> by_b;
+  for (std::size_t b = 1; b < limit; ++b) {
+    if (!store.live(b)) continue;
+    const ScreenProbe probe = screen_probe(store, b);
+    const std::vector<ScreenRow> screened =
+        store_screen(store, b, {&probe, 1}, delta, prefilter, ops);
+    for (const ScreenMatch& m : screened.front().flagged) {
+      by_b.push_back({m.index, b, m.similarity});
     }
   }
+  // Screening emits pairs ascending by (b, a); a stable counting
+  // placement by a reorders them to (a, b) in linear time.
+  std::vector<std::size_t> next(limit + 1, 0);
+  for (const PairScore& p : by_b) ++next[p.a + 1];
+  for (std::size_t a = 0; a < limit; ++a) next[a + 1] += next[a];
+  std::vector<PairScore> pairs(by_b.size());
+  for (const PairScore& p : by_b) pairs[next[p.a]++] = p;
+  return pairs;
+}
+
+std::vector<ScreenRow> merge_screen(
+    std::span<const std::vector<ScreenRow>> parts,
+    std::span<const std::vector<std::size_t>> globals) {
+  std::vector<ScreenRow> out(parts.empty() ? 0 : parts.front().size());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    ScreenRow& row = out[r];
+    std::size_t flags = 0;
+    for (const std::vector<ScreenRow>& part : parts) {
+      flags += part[r].flagged.size();
+    }
+    row.flagged.reserve(flags);
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      const ScreenRow& part = parts[s][r];
+      row.scanned += part.scanned;
+      row.rescored += part.rescored;
+      for (const ScreenMatch& m : part.flagged) {
+        row.flagged.push_back({globals[s][m.index], m.similarity});
+      }
+      if (part.best) {
+        const ScreenMatch b{globals[s][part.best->index],
+                            part.best->similarity};
+        if (!row.best || b.similarity > row.best->similarity ||
+            (b.similarity == row.best->similarity &&
+             b.index < row.best->index)) {
+          row.best = b;
+        }
+      }
+    }
+    std::sort(row.flagged.begin(), row.flagged.end(),
+              [](const ScreenMatch& x, const ScreenMatch& y) {
+                return x.index < y.index;
+              });
+  }
+  return out;
 }
 
 std::vector<ScreenMatch> store_top_k(const EmbeddingStore& store,

@@ -1,9 +1,11 @@
-// Per-store retrieval sweeps: ShardedCorpus runs them once per shard and
-// dist::ShardServer once per request on its own store, so in-process and
-// remote results are bit-identical because there is one copy of each
-// sweep. Results are keyed by the store's local row; within one store
-// local order equals global order, so merges rank on global indices
-// with the same tie-breaks.
+// Per-store retrieval sweeps and the merges over them: ShardedCorpus
+// runs the sweeps once per shard and dist::ShardServer once per request
+// on its own store, and both front ends (ShardedCorpus, dist::DistCorpus)
+// merge through the functions here, so in-process and remote results are
+// bit-identical because there is one copy of each decision. Sweep
+// results are keyed by the store's local row; within one store local
+// order equals global order, so merges rank on global indices with the
+// same tie-breaks.
 #pragma once
 
 #include <cstddef>
@@ -24,43 +26,46 @@ struct ScreenProbe {
   QuantGate gate;
 };
 
-/// A candidate the prefilter pruned from the screen's rescore class that
-/// may still be the best match: its upper bound and where its row lives.
-/// `index` is the tie-break index (store-local from store_screen; a
-/// caller merging several stores re-keys it to the global index).
-struct BandCandidate {
-  std::size_t index = 0;
-  float ub = 0.0F;
-  std::size_t store = 0;
-  std::size_t local = 0;
-};
-
-/// One probe's screen over one store: flagged matches (exact similarity
-/// > delta, ascending local index), the best among the rescored, the
-/// tallies, and the unresolved best band. Indices are store-local.
-struct StoreScreen {
-  ScreenRow row;
-  std::vector<BandCandidate> band;
-};
+/// The screening view of row `i` of `store`.
+[[nodiscard]] ScreenProbe screen_probe(const EmbeddingStore& store,
+                                       std::size_t i);
 
 /// Screen every probe against the live rows among `store`'s first
-/// `limit`. Exhaustive without `prefilter`. With it, one fused
-/// quant_screen_sweep per probe picks the rescore class (bounds that
-/// straddle delta); the best exact value among it is a witness T, and
-/// quant_survivor_scan keeps the band of pruned candidates with
-/// num ≥ T·den — anything below scores strictly under the witness, so
-/// it can never be the best. The band is returned for settle_best.
-[[nodiscard]] std::vector<StoreScreen> store_screen(
+/// `limit`: flagged matches (exact similarity > delta, ascending local
+/// index), the best (the first maximum in local order), and the tallies.
+/// Exhaustive without `prefilter`. With it, one fused quant_screen_sweep
+/// per probe picks the rescore class (bounds that straddle delta); the
+/// best exact value among it is a witness T, and quant_survivor_scan
+/// keeps the band of pruned candidates with num ≥ T·den — anything below
+/// scores strictly under the witness, so it can never be the best. The
+/// band is then walked in descending bound order, rescoring until no
+/// remaining bound can beat or index-tie-break the best, so the returned
+/// best is settled. Indices are store-local.
+[[nodiscard]] std::vector<ScreenRow> store_screen(
     const EmbeddingStore& store, std::size_t limit,
     std::span<const ScreenProbe> probes, float delta, bool prefilter,
     const KernelOps& ops);
 
-/// Resolve `row.best` against a band: walk it in descending bound order
-/// (ascending index on ties), rescoring exactly until no remaining bound
-/// can beat or index-tie-break the best. `stores[c.store]` holds each
-/// candidate's row; every rescore counts in row.rescored.
-void settle_best(std::vector<BandCandidate> band, const ScreenProbe& probe,
-                 std::span<const EmbeddingStore> stores, ScreenRow& row);
+/// Every pair of live rows among `store`'s first `limit` with exact
+/// similarity > delta, as store-local (a, b) with a < b, ascending. Each
+/// live row b is screened with store_screen against its prefix [0, b),
+/// so each unordered pair is found once; cosine_cell is bit-symmetric,
+/// so the similarity is the one any (a, b) enumeration computes.
+[[nodiscard]] std::vector<PairScore> store_flag(const EmbeddingStore& store,
+                                                std::size_t limit,
+                                                float delta, bool prefilter,
+                                                const KernelOps& ops);
+
+/// Merge per-store screens into global rows: `parts[s][r]` is probe r's
+/// store_screen row over store s, and `globals[s][local]` the global
+/// index of that store's row. Flags are re-keyed and concatenated, then
+/// sorted by ascending global index; the best is the maximum under
+/// (similarity desc, global index asc) — each store's best is its true
+/// first maximum, so this is the global first maximum; tallies are
+/// summed.
+[[nodiscard]] std::vector<ScreenRow> merge_screen(
+    std::span<const std::vector<ScreenRow>> parts,
+    std::span<const std::vector<std::size_t>> globals);
 
 /// The k live rows among `store`'s first `limit` (row `exclude` left
 /// out; pass EmbeddingStore::kNoIndex to keep every row) most similar to

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "core/shard_sweep.h"
 #include "core/snapshot_format.h"
@@ -244,30 +244,19 @@ tensor::Matrix ShardedCorpus::score_new_rows(std::size_t first_new) const {
     query_norms[r] =
         shards_[query_refs[r].shard].norm(query_refs[r].local);
   }
-  // Exact mode pins the scalar sweep (a loop over cosine_cell — the
-  // same bits as always); exact_scoring == false dispatches the fused
-  // row sweep to the resolved SIMD backend. Each shard sweeps its
-  // contiguous row block into a scratch vector, then scatters by global
-  // index — same cells, better locality than per-cell indirection.
-  const KernelOps& ops = kernel_ops(
-      options_.exact_scoring ? KernelBackend::kScalar : options_.kernel);
+  // Each shard walks its snapshot rows (tombstones included — this
+  // kernel is positional, like the single-shard one) in local order and
+  // scatters every cell to its global column.
   const auto run_shard = [&](std::size_t s) {
-    const EmbeddingStore& store = shards_[s];
-    // Rows admitted after the snapshot form a suffix of the shard
-    // (globals_[s] is ascending), so trimming the tail leaves exactly
-    // the snapshot's rows, tombstones included (this kernel is
-    // positional, like the single-shard one).
-    std::size_t limit = store.size();
-    while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
-    if (limit == 0) return;
-    std::vector<float> sims(limit);
+    const float* rows = shards_[s].rows().data();
+    const std::span<const float> norms = shards_[s].norms();
+    const std::size_t limit = prefix_below(s, n);
     for (std::size_t r = 0; r < new_rows; ++r) {
-      ops.cosine_sweep(query_rows[r].data(), query_norms[r],
-                       store.rows().data(), store.norms().data(), limit, d,
-                       sims.data());
       const std::span<float> out = result.row(r);
       for (std::size_t local = 0; local < limit; ++local) {
-        out[globals_[s][local]] = sims[local];
+        out[globals_[s][local]] =
+            cosine_cell(query_rows[r].data(), rows + local * d, d,
+                        query_norms[r] * norms[local]);
       }
     }
   };
@@ -290,69 +279,25 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
                       entries_.end());
   }
   const std::size_t new_rows = n - first_new;
-  std::vector<ScreenRow> result(new_rows);
-  if (new_rows == 0) return result;
+  if (new_rows == 0) return {};
   const StripeGuard stripes = lock_all_stripes_shared();
-  const std::size_t d = row_nolock(query_refs[0]).size();
   std::vector<ScreenProbe> probes(new_rows);
   for (std::size_t r = 0; r < new_rows; ++r) {
     const EntryRef& e = query_refs[r];
-    probes[r] = {row_nolock(e).data(), shards_[e.shard].norm(e.local),
-                 make_quant_gate(shards_[e.shard].quant_view(e.local), d)};
+    probes[r] = screen_probe(shards_[e.shard], e.local);
   }
-  // Integer kernels are bit-identical across backends, so the int8
-  // screen always uses the resolved backend — exact_scoring only pins
-  // *float* arithmetic, and every float cell is the scalar cosine_cell
-  // regardless.
-  const KernelOps& ops = kernel_ops(options_.kernel);
   // Each shard screens its own candidates — live rows admitted before
   // first_new, an ascending prefix of the shard — with the one per-store
-  // sweep the shard servers run too, then re-keys its partials to
-  // global indices.
-  std::vector<std::vector<StoreScreen>> partials(shards_.size());
+  // sweep the shard servers run too, and the front ends' one merge
+  // re-keys and combines the settled rows.
+  const KernelOps& ops = kernel_ops(options_.kernel);
+  std::vector<std::vector<ScreenRow>> parts(shards_.size());
   const auto run_shard = [&](std::size_t s) {
-    std::size_t limit = shards_[s].size();
-    while (limit > 0 && globals_[s][limit - 1] >= first_new) --limit;
-    partials[s] = store_screen(shards_[s], limit, probes, delta,
-                               options_.int8_prefilter, ops);
-    for (StoreScreen& p : partials[s]) {
-      for (ScreenMatch& m : p.row.flagged) m.index = globals_[s][m.index];
-      if (p.row.best) p.row.best->index = globals_[s][p.row.best->index];
-      for (BandCandidate& c : p.band) {
-        c.index = globals_[s][c.local];
-        c.store = s;
-      }
-    }
+    parts[s] = store_screen(shards_[s], prefix_below(s, first_new), probes,
+                            delta, options_.int8_prefilter, ops);
   };
   fan_out(shards_.size(), run_shard);
-
-  // Merge under the fixed tie-breaks (flags by ascending global index,
-  // best by max similarity then lowest index), then settle the best
-  // against every shard's band at once.
-  for (std::size_t r = 0; r < new_rows; ++r) {
-    ScreenRow& out = result[r];
-    std::vector<BandCandidate> band;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const StoreScreen& p = partials[s][r];
-      out.scanned += p.row.scanned;
-      out.rescored += p.row.rescored;
-      out.flagged.insert(out.flagged.end(), p.row.flagged.begin(),
-                         p.row.flagged.end());
-      const std::optional<ScreenMatch>& b = p.row.best;
-      if (b && (!out.best || b->similarity > out.best->similarity ||
-                (b->similarity == out.best->similarity &&
-                 b->index < out.best->index))) {
-        out.best = b;
-      }
-      band.insert(band.end(), p.band.begin(), p.band.end());
-    }
-    std::sort(out.flagged.begin(), out.flagged.end(),
-              [](const ScreenMatch& x, const ScreenMatch& y) {
-                return x.index < y.index;
-              });
-    settle_best(std::move(band), probes[r], shards_, out);
-  }
-  return result;
+  return merge_screen(parts, globals_);
 }
 
 std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
@@ -376,13 +321,12 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   const KernelOps& ops = kernel_ops(options_.kernel);
   std::vector<std::vector<PairScore>> buckets(shards_.size());
   const auto run_shard = [&](std::size_t s) {
-    std::size_t limit = shards_[s].size();
-    while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
     const std::size_t exclude =
         s == query_ref.shard ? query_ref.local : kNoIndex;
     for (const ScreenMatch& m :
-         store_top_k(shards_[s], limit, exclude, shards_[query_ref.shard],
-                     query_ref.local, k, options_.int8_prefilter, ops)) {
+         store_top_k(shards_[s], prefix_below(s, n), exclude,
+                     shards_[query_ref.shard], query_ref.local, k,
+                     options_.int8_prefilter, ops)) {
       buckets[s].push_back({i, globals_[s][m.index], m.similarity});
     }
   };
@@ -394,62 +338,10 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
   return merge_top_k(std::move(merged), k);
 }
 
-std::vector<PairScore> ShardedCorpus::score_all_pairs() const {
-  util::ReaderLock epoch(epoch_mu_);
-  // Fan out over the first member of each pair; worker w writes only
-  // per_a[w], and the buckets concatenate in ascending-a order — the
-  // exact pair order of the single-shard path. Rows and norms resolve
-  // once up front (the store's cached norms carry the same ascending-k
-  // row_norm bits the matrix kernel computes, so each cell stays
-  // bit-identical to PairwiseScorer::score_all_pairs) instead of three
-  // fused accumulators per pair recomputing every norm N−1 times.
-  std::vector<std::size_t> live_ids;
-  std::vector<EntryRef> live_refs;
-  {
-    util::ReaderLock index(index_mu_);
-    live_ids.reserve(live_count_);
-    live_refs.reserve(live_count_);
-    for (std::size_t g = 0; g < entries_.size(); ++g) {
-      const EntryRef& e = entries_[g];
-      live_ids.push_back(g);  // liveness filtered under the stripes below
-      live_refs.push_back(e);
-    }
-  }
-  const StripeGuard stripes = lock_all_stripes_shared();
-  std::size_t kept = 0;
-  for (std::size_t idx = 0; idx < live_ids.size(); ++idx) {
-    const EntryRef& e = live_refs[idx];
-    if (!shards_[e.shard].live(e.local)) continue;
-    live_ids[kept] = live_ids[idx];
-    live_refs[kept] = e;
-    ++kept;
-  }
-  live_ids.resize(kept);
-  live_refs.resize(kept);
-  const std::size_t d = live_refs.empty() ? 0 : row_nolock(live_refs[0]).size();
-  std::vector<std::span<const float>> live_rows(live_ids.size());
-  std::vector<float> norms(live_ids.size());
-  for (std::size_t a = 0; a < live_ids.size(); ++a) {
-    live_rows[a] = row_nolock(live_refs[a]);
-    norms[a] = shards_[live_refs[a].shard].norm(live_refs[a].local);
-  }
-  std::vector<std::vector<PairScore>> per_a(live_ids.size());
-  const auto score_row = [&](std::size_t a) {
-    per_a[a].reserve(live_ids.size() - a - 1);
-    const float* ra = live_rows[a].data();
-    for (std::size_t b = a + 1; b < live_ids.size(); ++b) {
-      per_a[a].push_back(
-          {live_ids[a], live_ids[b],
-           cosine_cell(ra, live_rows[b].data(), d, norms[a] * norms[b])});
-    }
-  };
-  fan_out(live_ids.size(), score_row);
-  std::vector<PairScore> pairs;
-  pairs.reserve(kept * (kept > 0 ? kept - 1 : 0) / 2);
-  for (std::vector<PairScore>& bucket : per_a) {
-    pairs.insert(pairs.end(), bucket.begin(), bucket.end());
-  }
-  return pairs;
+std::size_t ShardedCorpus::prefix_below(std::size_t s, std::size_t n) const {
+  std::size_t limit = shards_[s].size();
+  while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
+  return limit;
 }
 
 void ShardedCorpus::fan_out(
@@ -756,102 +648,59 @@ std::string ShardedCorpus::snapshot_fingerprint(const std::string& dir) {
 }
 
 std::vector<PairScore> ShardedCorpus::flag(float delta) const {
-  if (options_.int8_prefilter) return flag_prefiltered(delta);
-  std::vector<PairScore> pairs = score_all_pairs();
-  std::erase_if(pairs,
-                [delta](const PairScore& p) { return p.similarity <= delta; });
-  std::sort(pairs.begin(), pairs.end(), flag_order);
-  return pairs;
-}
-
-std::vector<PairScore> ShardedCorpus::flag_prefiltered(float delta) const {
-  // Same fan-out shape as score_all_pairs, but each pair passes the int8
-  // bound gate before the exact cell: a pair is skipped only when its
-  // upper bound proves similarity ≤ delta — which the exact sweep would
-  // have discarded anyway — and every surviving pair rescores with the
-  // scalar kernel, so the flagged set is bit-identical to the exact
-  // path's.
   util::ReaderLock epoch(epoch_mu_);
-  std::vector<std::size_t> live_ids;
-  std::vector<EntryRef> live_refs;
+  std::size_t n = 0;
   {
     util::ReaderLock index(index_mu_);
-    live_ids.reserve(live_count_);
-    live_refs.reserve(live_count_);
-    for (std::size_t g = 0; g < entries_.size(); ++g) {
-      live_ids.push_back(g);  // liveness filtered under the stripes below
-      live_refs.push_back(entries_[g]);
-    }
+    n = entries_.size();
   }
   const StripeGuard stripes = lock_all_stripes_shared();
-  std::size_t kept = 0;
-  for (std::size_t idx = 0; idx < live_ids.size(); ++idx) {
-    const EntryRef& e = live_refs[idx];
-    if (!shards_[e.shard].live(e.local)) continue;
-    live_ids[kept] = live_ids[idx];
-    live_refs[kept] = e;
-    ++kept;
+  const std::size_t shard_count = shards_.size();
+  std::vector<std::size_t> limits(shard_count);
+  for (std::size_t s = 0; s < shard_count; ++s) limits[s] = prefix_below(s, n);
+  // One task per shard pair s ≤ t: store_flag within a shard, and shard
+  // s's live rows screened against shard t > s across shards. Each task
+  // fills only its own bucket; flag_order is total, so the sorted union
+  // is independent of shard count, worker count and bucket order.
+  std::vector<std::pair<std::size_t, std::size_t>> tasks;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    for (std::size_t t = s; t < shard_count; ++t) tasks.emplace_back(s, t);
   }
-  live_ids.resize(kept);
-  live_refs.resize(kept);
-  const std::size_t d = live_refs.empty() ? 0 : row_nolock(live_refs[0]).size();
-  std::vector<std::span<const float>> live_rows(kept);
-  std::vector<float> norms(kept);
-  std::vector<QuantGate> gates(kept);
-  std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept), cd_norm(kept);
-  for (std::size_t a = 0; a < kept; ++a) {
-    const EntryRef& e = live_refs[a];
-    live_rows[a] = row_nolock(e);
-    norms[a] = shards_[e.shard].norm(e.local);
-    gates[a] = make_quant_gate(shards_[e.shard].quant_view(e.local), d);
-    cd_scale[a] = gates[a].scale;
-    cd_sq[a] = gates[a].sq;
-    cd_e[a] = gates[a].e;
-    cd_norm[a] = gates[a].norm;
-  }
-  const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                          cd_norm.data(), norms.data()};
   const KernelOps& ops = kernel_ops(options_.kernel);
-  // Same caveat as screen_new_rows: the margin sweep compares the
-  // *unclamped* bound against delta, which only implies `exact ≤ delta`
-  // for delta ≥ −1; below that every pair rescores (prune_max = −inf
-  // makes everything a hit), which is exactly what the clamp demands.
-  const double prune_max =
-      delta >= -1.0F ? static_cast<double>(delta)
-                     : -std::numeric_limits<double>::infinity();
-  std::vector<std::vector<PairScore>> per_a(kept);
-  const auto screen_row = [&](std::size_t a) {
-    const float* ra = live_rows[a].data();
-    const QuantGate& ga = gates[a];
-    const std::size_t tail = kept - a - 1;
-    if (tail == 0) return;
-    // Rows of different shards are not contiguous, so the dots fill
-    // stays per-pair; the bound test and hit compaction are one
-    // vectorized sweep over the tail b ∈ (a, kept).
-    std::vector<std::int32_t> dots(tail);
-    std::vector<double> num(tail);
-    std::vector<double> den(tail);
-    std::vector<std::uint32_t> hits(tail);
-    for (std::size_t b = a + 1; b < kept; ++b) {
-      dots[b - a - 1] = ops.dot_i8(ga.q, gates[b].q, d);
+  const bool prefilter = options_.int8_prefilter;
+  std::vector<std::vector<PairScore>> buckets(tasks.size());
+  const auto run_task = [&](std::size_t task) {
+    const auto [s, t] = tasks[task];
+    std::vector<PairScore>& out = buckets[task];
+    if (s == t) {
+      for (const PairScore& p :
+           store_flag(shards_[s], limits[s], delta, prefilter, ops)) {
+        out.push_back({globals_[s][p.a], globals_[s][p.b], p.similarity});
+      }
+      return;
     }
-    const QuantStatsSoa tail_soa{soa.scale + a + 1, soa.sq + a + 1,
-                                 soa.e + a + 1, soa.normd + a + 1,
-                                 soa.normf + a + 1};
-    const std::size_t n_hits =
-        ops.quant_margin_sweep(make_sweep_query(ga), tail_soa, dots.data(),
-                               tail, prune_max, num.data(), den.data(),
-                               hits.data());
-    for (std::size_t h = 0; h < n_hits; ++h) {
-      const std::size_t b = a + 1 + hits[h];
-      const float sim =
-          cosine_cell(ra, live_rows[b].data(), d, norms[a] * norms[b]);
-      if (sim > delta) per_a[a].push_back({live_ids[a], live_ids[b], sim});
+    std::vector<std::size_t> locals;
+    std::vector<ScreenProbe> probes;
+    for (std::size_t local = 0; local < limits[s]; ++local) {
+      if (!shards_[s].live(local)) continue;
+      locals.push_back(local);
+      probes.push_back(screen_probe(shards_[s], local));
+    }
+    const std::vector<ScreenRow> rows =
+        store_screen(shards_[t], limits[t], probes, delta, prefilter, ops);
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      const std::size_t ga = globals_[s][locals[p]];
+      for (const ScreenMatch& m : rows[p].flagged) {
+        // cosine_cell is bit-symmetric, so orienting the pair ascending
+        // gives the similarity of the (a < b) enumeration.
+        const std::size_t gb = globals_[t][m.index];
+        out.push_back({std::min(ga, gb), std::max(ga, gb), m.similarity});
+      }
     }
   };
-  fan_out(kept, screen_row);
+  fan_out(tasks.size(), run_task);
   std::vector<PairScore> pairs;
-  for (std::vector<PairScore>& bucket : per_a) {
+  for (std::vector<PairScore>& bucket : buckets) {
     pairs.insert(pairs.end(), bucket.begin(), bucket.end());
   }
   std::sort(pairs.begin(), pairs.end(), flag_order);

@@ -156,13 +156,13 @@ class ShardedCorpus final : public CorpusBackend {
   [[nodiscard]] std::vector<PairScore> top_k(std::size_t i,
                                              std::size_t k) const override;
 
-  /// All unordered pairs of live rows (ascending (a, b) global order).
-  [[nodiscard]] std::vector<PairScore> score_all_pairs() const;
-
   /// Live pairs with similarity > delta, in flag_order (descending
   /// similarity, ascending (a, b) tie-break) — bit-identical to
-  /// PairwiseScorer::flag. The overload without an argument uses
-  /// options().delta.
+  /// PairwiseScorer::flag. Each shard runs core::store_flag for its
+  /// within-shard pairs, and core::store_screen screens shard s's live
+  /// rows against every shard t > s for the cross-shard pairs — the
+  /// sweeps the shard servers run too. The overload without an argument
+  /// uses options().delta.
   [[nodiscard]] std::vector<PairScore> flag(float delta) const override;
   [[nodiscard]] std::vector<PairScore> flag() const {
     return flag(options_.delta);
@@ -258,9 +258,10 @@ class ShardedCorpus final : public CorpusBackend {
     return shards_[e.shard].row(e.local);
   }
 
-  /// flag(delta) through the int8 bound gate (chosen by flag() when
-  /// options().int8_prefilter is set) — bit-identical flagged set.
-  [[nodiscard]] std::vector<PairScore> flag_prefiltered(float delta) const;
+  /// How many of shard s's rows have a global index below `n`: rows
+  /// admitted after a snapshot of size n form a suffix of the shard
+  /// (globals_[s] is ascending). Callers hold stripe s.
+  [[nodiscard]] std::size_t prefix_below(std::size_t s, std::size_t n) const;
 
   ScorerOptions options_;
   std::size_t shard_budget_ = 0;

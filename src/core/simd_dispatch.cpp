@@ -1,11 +1,9 @@
 #include "core/simd_dispatch.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <string>
 
-#include "core/cosine_kernels.h"
 #include "util/contract.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -21,30 +19,9 @@ namespace gnn4ip::core {
 namespace {
 
 // ---- Scalar backend ------------------------------------------------------
-// Thin loops over the cosine_kernels.h arithmetic: these must stay
-// bit-identical to cosine_cell / row_norm — they are the oracle every
-// vector backend is tested against, and the implementation behind every
-// exact-scoring path.
-
-float dot_f32_scalar(const float* a, const float* b, std::size_t dim) {
-  float acc = 0.0F;
-  for (std::size_t k = 0; k < dim; ++k) acc += a[k] * b[k];
-  return acc;
-}
-
-float row_norm_scalar(const float* a, std::size_t dim) {
-  float sq = 0.0F;
-  for (std::size_t k = 0; k < dim; ++k) sq += a[k] * a[k];
-  return std::sqrt(sq);
-}
-
-void cosine_sweep_scalar(const float* q, float qnorm, const float* rows,
-                         const float* norms, std::size_t n, std::size_t dim,
-                         float* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = cosine_cell(q, rows + j * dim, dim, qnorm * norms[j]);
-  }
-}
+// The oracle every vector backend is tested against. The dot and margin
+// helpers are the two halves of the screen sweep; the vector backends
+// reuse the margin half where it has no wider form.
 
 std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
                            std::size_t dim) {
@@ -110,43 +87,6 @@ std::size_t quant_survivor_scan_scalar(const double* num, const double* den,
 // dispatch table ever jumps into this code.
 
 #if GNN4IP_HAVE_X86
-
-__attribute__((target("avx2,fma"))) float hsum256(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  return _mm_cvtss_f32(lo);
-}
-
-__attribute__((target("avx2,fma"))) float dot_f32_avx2(const float* a,
-                                                       const float* b,
-                                                       std::size_t dim) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t k = 0;
-  for (; k + 8 <= dim; k += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k), acc);
-  }
-  float sum = hsum256(acc);
-  for (; k < dim; ++k) sum += a[k] * b[k];
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) float row_norm_avx2(const float* a,
-                                                        std::size_t dim) {
-  return std::sqrt(dot_f32_avx2(a, a, dim));
-}
-
-__attribute__((target("avx2,fma"))) void cosine_sweep_avx2(
-    const float* q, float qnorm, const float* rows, const float* norms,
-    std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const float dot = dot_f32_avx2(q, rows + j * dim, dim);
-    out[j] = std::clamp(dot / std::max(qnorm * norms[j], kNormFloor), -1.0F,
-                        1.0F);
-  }
-}
 
 __attribute__((target("avx2"))) std::int32_t dot_i8_avx2(const std::int8_t* a,
                                                          const std::int8_t* b,
@@ -366,31 +306,6 @@ __attribute__((target("avx2"))) std::size_t quant_survivor_scan_avx2(
 
 #if GNN4IP_HAVE_NEON
 
-float dot_f32_neon(const float* a, const float* b, std::size_t dim) {
-  float32x4_t acc = vdupq_n_f32(0.0F);
-  std::size_t k = 0;
-  for (; k + 4 <= dim; k += 4) {
-    acc = vfmaq_f32(acc, vld1q_f32(a + k), vld1q_f32(b + k));
-  }
-  float sum = vaddvq_f32(acc);
-  for (; k < dim; ++k) sum += a[k] * b[k];
-  return sum;
-}
-
-float row_norm_neon(const float* a, std::size_t dim) {
-  return std::sqrt(dot_f32_neon(a, a, dim));
-}
-
-void cosine_sweep_neon(const float* q, float qnorm, const float* rows,
-                       const float* norms, std::size_t n, std::size_t dim,
-                       float* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const float dot = dot_f32_neon(q, rows + j * dim, dim);
-    out[j] = std::clamp(dot / std::max(qnorm * norms[j], kNormFloor), -1.0F,
-                        1.0F);
-  }
-}
-
 std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b,
                          std::size_t dim) {
   int32x4_t acc = vdupq_n_s32(0);
@@ -416,28 +331,6 @@ void dot_i8_sweep_neon(const std::int8_t* q, const std::int8_t* rows,
   }
 }
 
-std::size_t quant_margin_sweep_neon(const QuantSweepQuery& qc,
-                                    const QuantStatsSoa& rows,
-                                    const std::int32_t* dots, std::size_t n,
-                                    double prune_max, double* num, double* den,
-                                    std::uint32_t* hits) {
-  // The margin arithmetic is bandwidth-light next to the int8 sweep; a
-  // scalar loop (which the compiler may pair into 2-wide float64x2)
-  // keeps this backend simple while preserving the one-call-per-block
-  // shape.
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    num[j] = qc.c_scale * rows.scale[j] * dots[j] + qc.c_e * rows.e[j] +
-             qc.c_sq * rows.sq[j] + qc.c_norm * rows.normd[j] + qc.c_abs;
-    const float norm_product = qc.qnorm * rows.normf[j];
-    den[j] = std::max(static_cast<double>(norm_product), qc.floor);
-    if (num[j] > prune_max * den[j]) {
-      hits[count++] = static_cast<std::uint32_t>(j);
-    }
-  }
-  return count;
-}
-
 std::size_t quant_screen_sweep_neon(const QuantSweepQuery& qc,
                                     const std::int8_t* q,
                                     const std::int8_t* rows, std::size_t dim,
@@ -445,21 +338,12 @@ std::size_t quant_screen_sweep_neon(const QuantSweepQuery& qc,
                                     double prune_max, std::int32_t* dots,
                                     double* num, double* den,
                                     std::uint32_t* hits) {
+  // The margin arithmetic is bandwidth-light next to the int8 sweep, so
+  // the scalar loop serves it (the compiler may pair it into 2-wide
+  // float64x2).
   dot_i8_sweep_neon(q, rows, n, dim, dots);
-  return quant_margin_sweep_neon(qc, stats, dots, n, prune_max, num, den,
-                                 hits);
-}
-
-std::size_t quant_survivor_scan_neon(const double* num, const double* den,
-                                     std::size_t n, double keep_lb,
-                                     std::uint32_t* hits) {
-  std::size_t count = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (num[j] >= keep_lb * den[j]) {
-      hits[count++] = static_cast<std::uint32_t>(j);
-    }
-  }
-  return count;
+  return quant_margin_sweep_scalar(qc, stats, dots, n, prune_max, num, den,
+                                   hits);
 }
 
 #endif  // GNN4IP_HAVE_NEON
@@ -544,35 +428,17 @@ KernelBackend resolve_backend(KernelBackend requested) {
 
 const KernelOps& kernel_ops(KernelBackend requested) {
   static const KernelOps scalar_ops = {KernelBackend::kScalar,
-                                       &cosine_sweep_scalar,
-                                       &dot_f32_scalar,
-                                       &row_norm_scalar,
-                                       &dot_i8_scalar,
-                                       &dot_i8_sweep_scalar,
-                                       &quant_margin_sweep_scalar,
                                        &quant_screen_sweep_scalar,
                                        &quant_survivor_scan_scalar};
 #if GNN4IP_HAVE_X86
   static const KernelOps avx2_ops = {KernelBackend::kAvx2,
-                                     &cosine_sweep_avx2,
-                                     &dot_f32_avx2,
-                                     &row_norm_avx2,
-                                     &dot_i8_avx2,
-                                     &dot_i8_sweep_avx2,
-                                     &quant_margin_sweep_avx2,
                                      &quant_screen_sweep_avx2,
                                      &quant_survivor_scan_avx2};
 #endif
 #if GNN4IP_HAVE_NEON
   static const KernelOps neon_ops = {KernelBackend::kNeon,
-                                     &cosine_sweep_neon,
-                                     &dot_f32_neon,
-                                     &row_norm_neon,
-                                     &dot_i8_neon,
-                                     &dot_i8_sweep_neon,
-                                     &quant_margin_sweep_neon,
                                      &quant_screen_sweep_neon,
-                                     &quant_survivor_scan_neon};
+                                     &quant_survivor_scan_scalar};
 #endif
   switch (resolve_backend(requested)) {
     case KernelBackend::kAvx2:

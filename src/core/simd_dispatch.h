@@ -1,25 +1,17 @@
-// Runtime-dispatched SIMD kernel backends for the cosine hot loops.
+// Runtime-dispatched SIMD kernel backends for the int8 prefilter sweeps.
 //
-// The scoring layers funnel every float cell through the scalar kernels
-// of cosine_kernels.h — that scalar arithmetic IS the determinism
-// contract, so it can never change. This header adds the fast lane
-// around it: a small table of function pointers (KernelOps) with one
-// implementation per backend, selected at runtime by CPU feature
-// detection (CPUID-backed __builtin_cpu_supports on x86, compile-time
-// NEON on aarch64) or forced through ScorerOptions::kernel /
-// the GNN4IP_KERNEL environment variable.
-//
-// Bit-level rules per kernel family:
-//   * float kernels (cosine_sweep, dot_f32, row_norm_f32): the scalar
-//     backend reproduces cosine_kernels.h bit-for-bit (it is a thin loop
-//     over cosine_cell/row_norm). AVX2/NEON reassociate the float adds,
-//     so they are only eligible when the caller opted out of exact
-//     scoring (ScorerOptions::exact_scoring == false); results agree
-//     with scalar to ~1e-6, not to the bit.
-//   * int8 kernels (dot_i8): integer addition is associative, so every
-//     backend returns the exact same integer — the quantized prefilter
-//     can use the widest vector unit available without perturbing
-//     verdicts.
+// The scoring layers funnel every float cell through the scalar
+// cosine_cell of cosine_kernels.h — that scalar arithmetic IS the
+// determinism contract, so it can never change. This header adds the
+// fast lane in front of it: a small table of function pointers
+// (KernelOps) with one implementation per backend, selected at runtime
+// by CPU feature detection (CPUID-backed __builtin_cpu_supports on x86,
+// compile-time NEON on aarch64) or forced through ScorerOptions::kernel
+// / the GNN4IP_KERNEL environment variable. The kernels only decide
+// which candidates are rescored, and soundly, so no backend can change
+// a verdict: int8 dot products are exact integers on every backend
+// (integer addition is associative), and the bound arithmetic carries
+// margins wider than any reassociation.
 #pragma once
 
 #include <cstddef>
@@ -54,7 +46,7 @@ enum class KernelBackend : std::uint8_t { kAuto, kScalar, kAvx2, kNeon };
 /// set (same strictness), else detect_backend().
 [[nodiscard]] KernelBackend resolve_backend(KernelBackend requested);
 
-/// Query-side constants of the quantized-bound margin sweep, hoisted
+/// Query-side constants of quant_screen_sweep's bound test, hoisted
 /// once per (query row, block). Built by make_sweep_query()
 /// (cosine_kernels.h) from the query's QuantGate.
 struct QuantSweepQuery {
@@ -68,7 +60,7 @@ struct QuantSweepQuery {
 };
 
 /// SoA view of a candidate block's cached quantization stats, one entry
-/// per row, as the margin sweep consumes them. Built per shard by the
+/// per row, as quant_screen_sweep consumes them. Built per shard by the
 /// caller from EmbeddingStore's cached per-row values.
 struct QuantStatsSoa {
   const double* scale = nullptr;  // per-row quantization scale s
@@ -82,69 +74,25 @@ struct QuantStatsSoa {
 struct KernelOps {
   KernelBackend backend = KernelBackend::kScalar;
 
-  /// Fused dot+clamp row sweep: for j in [0, n),
-  ///   out[j] = clamp(dot(q, rows + j*dim) /
-  ///                  max(qnorm * norms[j], kNormFloor), -1, 1).
-  /// The scalar backend is a loop over cosine_cell — bit-identical to
-  /// every exact scoring path.
-  void (*cosine_sweep)(const float* q, float qnorm, const float* rows,
-                       const float* norms, std::size_t n, std::size_t dim,
-                       float* out) = nullptr;
-
-  /// Plain dot product of two D-rows.
-  float (*dot_f32)(const float* a, const float* b, std::size_t dim) = nullptr;
-
-  /// Euclidean norm of one D-row.
-  float (*row_norm_f32)(const float* a, std::size_t dim) = nullptr;
-
-  /// Exact int32 dot product of two int8 D-rows (identical across
-  /// backends — integer adds are associative).
-  std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
-                         std::size_t dim) = nullptr;
-
-  /// dot_i8 of q against every row of a contiguous int8 row block:
-  ///   out[j] = dot_i8(q, rows + j*dim) for j in [0, n).
-  /// One call per (query, block) amortizes the dispatch indirection out
-  /// of the prefilter's candidate sweep; same exactness guarantee as
-  /// dot_i8 (bit-identical across backends).
-  void (*dot_i8_sweep)(const std::int8_t* q, const std::int8_t* rows,
-                       std::size_t n, std::size_t dim,
-                       std::int32_t* out) = nullptr;
-
-  /// Quantized-bound margin sweep (the prefilter's per-candidate test,
-  /// vectorized): for j in [0, n),
-  ///   num[j] = qc.c_scale·scale[j]·dots[j] + qc.c_e·e[j] +
-  ///            qc.c_sq·sq[j] + qc.c_norm·normd[j] + qc.c_abs
-  ///   den[j] = max(double(qc.qnorm · normf[j]), qc.floor)
+  /// The prefilter's candidate sweep over a contiguous int8 row block
+  /// (dim int8 per row): for j in [0, n),
+  ///   dots[j] = Σ_k q[k]·rows[j*dim + k]   (exact int32)
+  ///   num[j]  = qc.c_scale·scale[j]·dots[j] + qc.c_e·e[j] +
+  ///             qc.c_sq·sq[j] + qc.c_norm·normd[j] + qc.c_abs
+  ///   den[j]  = max(double(qc.qnorm · normf[j]), qc.floor)
   /// and every j with num[j] > prune_max·den[j] is appended (ascending)
   /// to hits; the return value is the hit count. num/den is an upper
   /// bound on the exact (unclamped) cosine cell — the query-side
   /// coefficients carry the same rigor margins as quant_gate_spread,
   /// which dominate any mul/add-vs-FMA reassociation, so
   /// `num ≤ t·den` always soundly implies `exact cosine ≤ t` for
-  /// t ≥ −1 (pass prune_max = −inf to make every row a hit). Unlike the
-  /// int8 kernels, num is NOT bit-pinned across backends (FMA vs
-  /// mul+add) — callers may only use it for conservative pruning, never
-  /// for output values. den IS bit-identical everywhere: a float
-  /// product then a double max, on every backend.
-  std::size_t (*quant_margin_sweep)(const QuantSweepQuery& qc,
-                                    const QuantStatsSoa& rows,
-                                    const std::int32_t* dots, std::size_t n,
-                                    double prune_max, double* num,
-                                    double* den,
-                                    std::uint32_t* hits) = nullptr;
-
-  /// The fused prefilter fast path: dot_i8_sweep + quant_margin_sweep in
-  /// one pass over a contiguous int8 row block, with the per-row dots
-  /// also written out (retained-candidate walks still need them for
-  /// quant_gate_bounds). Exactly equivalent to
-  ///   dot_i8_sweep(q, rows, n, dim, dots);
-  ///   quant_margin_sweep(qc, stats, dots, n, prune_max, num, den, hits);
-  /// — dots and den are bit-identical across backends, num carries the
-  /// same not-bit-pinned caveat as quant_margin_sweep. Fusing keeps the
-  /// 4-row dot reductions in registers instead of round-tripping each
-  /// dot through memory, which is where the screen's candidate sweep
-  /// spends its time.
+  /// t ≥ −1 (pass prune_max = −inf to make every row a hit, +inf for
+  /// none). dots and den are bit-identical across backends; num is NOT
+  /// (FMA vs mul+add), so callers may only use it for conservative
+  /// pruning, never for output values. The dots are written out because
+  /// retained-candidate walks need them for quant_gate_bounds; the AVX2
+  /// backend keeps 4-row dot reductions in registers until the margin
+  /// test, which is where the screen's candidate sweep spends its time.
   std::size_t (*quant_screen_sweep)(const QuantSweepQuery& qc,
                                     const std::int8_t* q,
                                     const std::int8_t* rows, std::size_t dim,
@@ -153,12 +101,12 @@ struct KernelOps {
                                     double* num, double* den,
                                     std::uint32_t* hits) = nullptr;
 
-  /// Second-phase scan over a margin sweep's outputs: appends to hits
+  /// Second-phase scan over quant_screen_sweep's outputs: appends to hits
   /// (ascending) every j with num[j] ≥ keep_lb·den[j] — the candidates
   /// whose upper bound can still contend once a lower bound keep_lb on
   /// the best similarity is known — and returns the hit count. Pure
   /// comparisons on the caller's arrays, so decisions are deterministic
-  /// for whatever num/den the margin sweep produced.
+  /// for whatever num/den the screen sweep produced.
   std::size_t (*quant_survivor_scan)(const double* num, const double* den,
                                      std::size_t n, double keep_lb,
                                      std::uint32_t* hits) = nullptr;

@@ -351,8 +351,7 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
   GNN4IP_ENSURE(first_new <= entries_.size(),
                 "screen_new_rows: first_new past the corpus end");
   const std::size_t new_rows = entries_.size() - first_new;
-  std::vector<ScreenRow> result(new_rows);
-  if (new_rows == 0) return result;
+  if (new_rows == 0) return {};
   const std::size_t d = dim_;
   const std::size_t shard_count = globals_.size();
   const std::size_t tail_bytes = new_rows * d * sizeof(float);
@@ -382,50 +381,41 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
                             {probe_block, tail_bytes}});
     ch.sendbuf.clear();
   }
+  // Each shard answers with its settled store-local rows; parse them
+  // (checking every local row against the candidate limit — the frame
+  // is outside input) and merge with the in-process rule.
+  std::vector<std::vector<ScreenRow>> parts(shard_count,
+                                            std::vector<ScreenRow>(new_rows));
   for (std::size_t s = 0; s < shard_count; ++s) {
     Channel& ch = shared_->channels[s];
     const net::Frame frame =
         net::expect_frame(ch.sock, MsgType::kScreenResult);
     FrameCursor cur(frame.payload);
-    const auto to_global = [&](std::uint64_t local) {
+    const auto checked = [&](std::uint64_t local) {
       if (local >= limits[s]) {
         throw net::WireProtocolError(
             "shard " + std::to_string(s) + " reported local row " +
             std::to_string(local) + " beyond its candidate limit " +
             std::to_string(limits[s]));
       }
-      return globals_[s][static_cast<std::size_t>(local)];
+      return static_cast<std::size_t>(local);
     };
-    for (std::size_t r = 0; r < new_rows; ++r) {
-      ScreenRow& out = result[r];
+    for (ScreenRow& part : parts[s]) {
       const std::uint32_t flag_count = cur.get_u32("flag count");
       for (std::uint32_t f = 0; f < flag_count; ++f) {
-        const std::uint64_t local = cur.get_u64("flagged local");
-        const float sim = cur.get_f32("flagged similarity");
-        out.flagged.push_back({to_global(local), sim});
+        const std::size_t local = checked(cur.get_u64("flagged local"));
+        part.flagged.push_back({local, cur.get_f32("flagged similarity")});
       }
       if (cur.get_u8("has best") != 0) {
-        const std::size_t g = to_global(cur.get_u64("best local"));
-        const float sim = cur.get_f32("best similarity");
-        // The fixed merge: similarity desc, then ascending global index
-        // — same rule, hence same winner, as the in-process merge.
-        if (!out.best || sim > out.best->similarity ||
-            (sim == out.best->similarity && g < out.best->index)) {
-          out.best = ScreenMatch{g, sim};
-        }
+        const std::size_t local = checked(cur.get_u64("best local"));
+        part.best = ScreenMatch{local, cur.get_f32("best similarity")};
       }
-      out.scanned += static_cast<std::size_t>(cur.get_u64("scanned"));
-      out.rescored += static_cast<std::size_t>(cur.get_u64("rescored"));
+      part.scanned = static_cast<std::size_t>(cur.get_u64("scanned"));
+      part.rescored = static_cast<std::size_t>(cur.get_u64("rescored"));
     }
     cur.done("ScreenResult");
   }
-  for (ScreenRow& out : result) {
-    std::sort(out.flagged.begin(), out.flagged.end(),
-              [](const ScreenMatch& x, const ScreenMatch& y) {
-                return x.index < y.index;
-              });
-  }
-  return result;
+  return core::merge_screen(parts, globals_);
 }
 
 std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,18 +20,11 @@ namespace gnn4ip::dist {
 
 namespace {
 
-using core::cosine_cell;
 using core::EmbeddingStore;
 using core::KernelOps;
-using core::make_quant_gate;
-using core::make_sweep_query;
-using core::QuantGate;
-using core::QuantStatsSoa;
 using net::FrameBuilder;
 using net::FrameCursor;
 using net::MsgType;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Materialize a request's probe block as a throwaway EmbeddingStore:
 /// add() runs the exact same quantization/norm arithmetic the original
@@ -57,8 +49,7 @@ EmbeddingStore make_probe_store(FrameCursor& cur, std::size_t nrows,
 std::vector<core::ScreenProbe> screen_probes(const EmbeddingStore& probes) {
   std::vector<core::ScreenProbe> out(probes.size());
   for (std::size_t r = 0; r < out.size(); ++r) {
-    out[r] = {probes.row(r).data(), probes.norm(r),
-              make_quant_gate(probes.quant_view(r), probes.dim())};
+    out[r] = core::screen_probe(probes, r);
   }
   return out;
 }
@@ -273,24 +264,13 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       cur.done("Screen");
 
       // The per-store sweep ShardedCorpus::screen_new_rows runs on each
-      // of its shards, with the best band settled HERE, so what crosses
-      // back is the shard's true exact first-max. Merging per-shard true
-      // first-maxes under the fixed (sim desc, index asc) order
-      // reproduces the in-process best bit for bit. `rescored` can
-      // differ from the in-process tally (the local band seeds from a
-      // weaker shard-local best) — diagnostics only, documented in
-      // docs/ARCHITECTURE.md.
-      const std::vector<core::ScreenProbe> rows = screen_probes(probes);
-      std::vector<core::StoreScreen> partials =
-          core::store_screen(store_, limit, rows, delta, prefilter, ops);
-      for (std::size_t r = 0; r < nrows; ++r) {
-        core::settle_best(std::move(partials[r].band), rows[r], {&store_, 1},
-                          partials[r].row);
-      }
+      // of its shards: what crosses back is the shard's settled row, and
+      // the front end merges it with core::merge_screen as in process.
+      const std::vector<core::ScreenRow> screened = core::store_screen(
+          store_, limit, screen_probes(probes), delta, prefilter, ops);
 
       FrameBuilder b(out, MsgType::kScreenResult);
-      for (const core::StoreScreen& partial : partials) {
-        const core::ScreenRow& p = partial.row;
+      for (const core::ScreenRow& p : screened) {
         b.put_u32(static_cast<std::uint32_t>(p.flagged.size()));
         for (const core::ScreenMatch& m : p.flagged) {
           b.put_u64(m.index);
@@ -344,83 +324,14 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       const std::uint64_t limit64 = cur.get_u64("candidate limit");
       check_limit(limit64);
       cur.done("Flag");
-      const std::size_t limit = static_cast<std::size_t>(limit64);
-      const std::size_t d = store_.dim();
-
-      std::vector<std::size_t> live;
-      for (std::size_t local = 0; local < limit; ++local) {
-        if (store_.live(local)) live.push_back(local);
-      }
-      const std::size_t kept = live.size();
-
-      struct Pair {
-        std::uint64_t a = 0;
-        std::uint64_t b = 0;
-        float similarity = 0.0F;
-      };
-      std::vector<Pair> pairs;
-      if (!prefilter) {
-        for (std::size_t x = 0; x < kept; ++x) {
-          const float* ra = store_.row(live[x]).data();
-          const float na = store_.norm(live[x]);
-          for (std::size_t y = x + 1; y < kept; ++y) {
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          na * store_.norm(live[y]));
-            if (sim > delta) pairs.push_back({live[x], live[y], sim});
-          }
-        }
-      } else if (kept > 0) {
-        // ShardedCorpus::flag_prefiltered on one shard: gate each tail
-        // with the vectorized margin sweep, exact-rescore survivors.
-        // The gate is sound (skips only provable sim ≤ delta) and the
-        // output passes the exact `sim > delta` filter, so the flagged
-        // set matches the exact path's no matter how the gate decides.
-        std::vector<QuantGate> gates(kept);
-        std::vector<double> cd_scale(kept), cd_sq(kept), cd_e(kept),
-            cd_norm(kept);
-        std::vector<float> norms(kept);
-        for (std::size_t x = 0; x < kept; ++x) {
-          gates[x] = make_quant_gate(store_.quant_view(live[x]), d);
-          cd_scale[x] = gates[x].scale;
-          cd_sq[x] = gates[x].sq;
-          cd_e[x] = gates[x].e;
-          cd_norm[x] = gates[x].norm;
-          norms[x] = store_.norm(live[x]);
-        }
-        const QuantStatsSoa soa{cd_scale.data(), cd_sq.data(), cd_e.data(),
-                                cd_norm.data(), norms.data()};
-        const double prune_max =
-            delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-        std::vector<std::int32_t> dots(kept);
-        std::vector<double> num(kept);
-        std::vector<double> den(kept);
-        std::vector<std::uint32_t> hits(kept);
-        for (std::size_t x = 0; x < kept; ++x) {
-          const std::size_t tail = kept - x - 1;
-          if (tail == 0) break;
-          const QuantGate& ga = gates[x];
-          const float* ra = store_.row(live[x]).data();
-          for (std::size_t y = x + 1; y < kept; ++y) {
-            dots[y - x - 1] = ops.dot_i8(ga.q, gates[y].q, d);
-          }
-          const QuantStatsSoa tail_soa{soa.scale + x + 1, soa.sq + x + 1,
-                                       soa.e + x + 1, soa.normd + x + 1,
-                                       soa.normf + x + 1};
-          const std::size_t n_hits = ops.quant_margin_sweep(
-              make_sweep_query(ga), tail_soa, dots.data(), tail, prune_max,
-              num.data(), den.data(), hits.data());
-          for (std::size_t h = 0; h < n_hits; ++h) {
-            const std::size_t y = x + 1 + hits[h];
-            const float sim = cosine_cell(ra, store_.row(live[y]).data(), d,
-                                          norms[x] * norms[y]);
-            if (sim > delta) pairs.push_back({live[x], live[y], sim});
-          }
-        }
-      }
+      // The per-store flag sweep ShardedCorpus::flag runs on each shard.
+      const std::vector<core::PairScore> pairs =
+          core::store_flag(store_, static_cast<std::size_t>(limit64), delta,
+                           prefilter, ops);
 
       FrameBuilder b(out, MsgType::kFlagResult);
       b.put_u32(static_cast<std::uint32_t>(pairs.size()));
-      for (const Pair& p : pairs) {
+      for (const core::PairScore& p : pairs) {
         b.put_u64(p.a);
         b.put_u64(p.b);
         b.put_f32(p.similarity);
@@ -445,16 +356,15 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       // Every store row with exact similarity > delta, per probe: the
       // flagged set of the per-store screen (bounds prune only provable
       // sim ≤ delta; survivors pass the exact filter).
-      const std::vector<core::ScreenProbe> rows = screen_probes(probes);
-      const std::vector<core::StoreScreen> screened = core::store_screen(
-          store_, static_cast<std::size_t>(limit64), rows, delta, prefilter,
-          ops);
+      const std::vector<core::ScreenRow> screened = core::store_screen(
+          store_, static_cast<std::size_t>(limit64), screen_probes(probes),
+          delta, prefilter, ops);
       std::size_t count = 0;
-      for (const core::StoreScreen& p : screened) count += p.row.flagged.size();
+      for (const core::ScreenRow& p : screened) count += p.flagged.size();
       FrameBuilder b(out, MsgType::kCrossFlagResult);
       b.put_u32(static_cast<std::uint32_t>(count));
       for (std::uint32_t r = 0; r < nprobes; ++r) {
-        for (const core::ScreenMatch& m : screened[r].row.flagged) {
+        for (const core::ScreenMatch& m : screened[r].flagged) {
           b.put_u32(r);
           b.put_u64(m.index);
           b.put_f32(m.similarity);

@@ -84,7 +84,7 @@ struct Cluster {
 
 void expect_rows_equal(const std::vector<ScreenRow>& got,
                        const std::vector<ScreenRow>& want,
-                       bool compare_rescored, const std::string& label) {
+                       const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (std::size_t r = 0; r < want.size(); ++r) {
     ASSERT_EQ(got[r].flagged.size(), want[r].flagged.size())
@@ -104,12 +104,7 @@ void expect_rows_equal(const std::vector<ScreenRow>& got,
           << label << " row " << r;
     }
     EXPECT_EQ(got[r].scanned, want[r].scanned) << label << " row " << r;
-    if (compare_rescored) {
-      // Exact path only: under the prefilter the distributed band
-      // resolution seeds from the shard-local best, so the *diagnostic*
-      // rescore tally may differ while the verdict set cannot.
-      EXPECT_EQ(got[r].rescored, want[r].rescored) << label << " row " << r;
-    }
+    EXPECT_EQ(got[r].rescored, want[r].rescored) << label << " row " << r;
   }
 }
 
@@ -278,8 +273,7 @@ TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
       corpus->remove(1);
 
       expect_rows_equal(corpus->screen_new_rows(resident, -0.25F),
-                        reference.screen_new_rows(resident, -0.25F),
-                        /*compare_rescored=*/!prefilter, label);
+                        reference.screen_new_rows(resident, -0.25F), label);
       expect_pairs_equal(corpus->top_k(0, 5), reference.top_k(0, 5), label);
       expect_pairs_equal(corpus->flag(-0.5F), reference.flag(-0.5F), label);
       EXPECT_EQ(corpus->score(0, 2), reference.score(0, 2)) << label;
@@ -290,7 +284,6 @@ TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
           << label << " (compact mapping)";
       expect_rows_equal(corpus->screen_new_rows(resident - 1, -0.25F),
                         reference.screen_new_rows(resident - 1, -0.25F),
-                        /*compare_rescored=*/!prefilter,
                         label + " (post-compact)");
       expect_pairs_equal(corpus->flag(-0.5F), reference.flag(-0.5F),
                          label + " (post-compact)");

@@ -1,10 +1,8 @@
 // SIMD dispatch + quantized prefilter tests: the acceptance bar for the
 // retrieval fast lanes is that they are *invisible* to results.
 //
-//   * The scalar backend IS the determinism contract: its sweep is a
-//     loop over cosine_cell, bit-identical to every exact scoring path.
-//   * SIMD float backends reassociate adds — they only serve non-exact
-//     callers and must agree with scalar to tight tolerance.
+//   * Every float similarity is the scalar cosine_cell, whatever the
+//     backend knob says.
 //   * Int8 dots are associative — every backend returns the same
 //     integer, so prefilter candidacy never depends on the host.
 //   * quantized_cosine_bounds must ENCLOSE the exact cosine — a pruned
@@ -27,6 +25,7 @@
 #include "core/cosine_kernels.h"
 #include "core/embedding_store.h"
 #include "core/gnn4ip.h"
+#include "core/pairwise_scorer.h"
 #include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
 #include "core/simd_dispatch.h"
@@ -65,8 +64,9 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-std::vector<KernelBackend> supported_simd_backends() {
-  std::vector<KernelBackend> out;
+/// The scalar backend first, then every SIMD backend this host runs.
+std::vector<KernelBackend> all_backends() {
+  std::vector<KernelBackend> out{KernelBackend::kScalar};
   if (backend_supported(KernelBackend::kAvx2)) {
     out.push_back(KernelBackend::kAvx2);
   }
@@ -74,6 +74,16 @@ std::vector<KernelBackend> supported_simd_backends() {
     out.push_back(KernelBackend::kNeon);
   }
   return out;
+}
+
+/// Σ a[k]·b[k] in 64 bits — the reference every backend's int8 dots meet.
+std::int64_t wide_dot(const std::int8_t* a, const std::int8_t* b,
+                      std::size_t d) {
+  std::int64_t acc = 0;
+  for (std::size_t k = 0; k < d; ++k) {
+    acc += static_cast<std::int64_t>(a[k]) * b[k];
+  }
+  return acc;
 }
 
 tensor::Matrix row_matrix(std::span<const float> values) {
@@ -194,97 +204,49 @@ TEST(KernelDispatch, ForcingAnUnsupportedBackendIsAHardError) {
   }
 }
 
-// ---- Float kernels vs the scalar oracle -----------------------------------
-
-TEST(KernelSweep, ScalarSweepIsACosineCellLoopBitForBit) {
-  const KernelOps& ops = kernel_ops(KernelBackend::kScalar);
-  for (const std::size_t d : {1UL, 3UL, 5UL, 8UL, 16UL, 31UL}) {
-    const auto rows = synth_rows(24, d, /*seed=*/d);
-    std::vector<float> flat;
-    std::vector<float> norms;
-    for (const auto& row : rows) {
-      flat.insert(flat.end(), row.begin(), row.end());
-      norms.push_back(row_norm(row));
-    }
-    const std::vector<float>& q = rows[5];
-    const float qnorm = norms[5];
-    std::vector<float> got(rows.size());
-    ops.cosine_sweep(q.data(), qnorm, flat.data(), norms.data(), rows.size(),
-                     d, got.data());
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      EXPECT_EQ(got[j],
-                cosine_cell(q.data(), rows[j].data(), d, qnorm * norms[j]))
-          << "dim " << d << " row " << j;
-    }
-    EXPECT_EQ(ops.row_norm_f32(q.data(), d), row_norm(q));
-  }
-}
-
-TEST(KernelSweep, SimdBackendsMatchScalarOnEdgeShapes) {
-  // Dims straddle the vector widths (8 floats for AVX2, 4 for NEON,
-  // 16/32 int8 lanes) with ragged tails on both sides.
-  const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
-  for (const KernelBackend b : supported_simd_backends()) {
-    const KernelOps& simd = kernel_ops(b);
-    EXPECT_EQ(simd.backend, b);
-    for (const std::size_t d : {1UL, 2UL, 3UL, 5UL, 8UL, 13UL, 16UL, 31UL,
-                                33UL, 64UL}) {
-      const auto rows = synth_rows(32, d, /*seed=*/100 + d);
-      std::vector<float> flat;
-      std::vector<float> norms;
-      for (const auto& row : rows) {
-        flat.insert(flat.end(), row.begin(), row.end());
-        norms.push_back(row_norm(row));
-      }
-      const std::vector<float>& q = rows[1];
-      const float qnorm = norms[1];
-      std::vector<float> want(rows.size());
-      std::vector<float> got(rows.size());
-      scalar.cosine_sweep(q.data(), qnorm, flat.data(), norms.data(),
-                          rows.size(), d, want.data());
-      simd.cosine_sweep(q.data(), qnorm, flat.data(), norms.data(),
-                        rows.size(), d, got.data());
-      for (std::size_t j = 0; j < rows.size(); ++j) {
-        EXPECT_NEAR(got[j], want[j], 1e-5F)
-            << backend_name(b) << " dim " << d << " row " << j;
-        EXPECT_GE(got[j], -1.0F);
-        EXPECT_LE(got[j], 1.0F);
-        // Zero rows accumulate exact zeros on every backend.
-        if (j % 16 == 7) {
-          EXPECT_EQ(got[j], 0.0F);
-        }
-      }
-      EXPECT_NEAR(simd.dot_f32(q.data(), rows[3].data(), d),
-                  scalar.dot_f32(q.data(), rows[3].data(), d),
-                  1e-5F * static_cast<float>(d));
-      EXPECT_NEAR(simd.row_norm_f32(q.data(), d), row_norm(q), 1e-6F);
-    }
-  }
-}
+// ---- Int8 dots are exact on every backend ---------------------------------
 
 TEST(KernelSweep, Int8DotIsBitIdenticalAcrossBackends) {
-  const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
+  // quant_screen_sweep's dots output on every backend against a wide
+  // reference. 37 rows leave a ragged tail past every 4-row grouping,
+  // the dims straddle the 16-lane int8 width (non-multiples of 16 take
+  // the AVX2 unfused fallback), and the values span the full quantized
+  // range including the extremes.
+  constexpr std::size_t kRows = 37;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   util::Rng rng(7);
-  for (const std::size_t d :
-       {1UL, 5UL, 15UL, 16UL, 17UL, 32UL, 33UL, 64UL, 100UL}) {
-    std::vector<std::int8_t> a(d);
-    std::vector<std::int8_t> b(d);
-    for (std::size_t k = 0; k < d; ++k) {
-      // Full quantized range including the extremes.
-      a[k] = static_cast<std::int8_t>(
+  for (const std::size_t d : {1UL, 2UL, 3UL, 5UL, 8UL, 13UL, 15UL, 16UL,
+                              17UL, 31UL, 32UL, 33UL, 48UL, 64UL, 100UL}) {
+    const auto draw = [&rng] {
+      return static_cast<std::int8_t>(
           static_cast<int>(rng.next_below(255)) - 127);
-      b[k] = static_cast<std::int8_t>(
-          static_cast<int>(rng.next_below(255)) - 127);
-    }
-    std::int64_t want_wide = 0;
-    for (std::size_t k = 0; k < d; ++k) {
-      want_wide += static_cast<std::int64_t>(a[k]) * b[k];
-    }
-    const std::int32_t want = scalar.dot_i8(a.data(), b.data(), d);
-    EXPECT_EQ(static_cast<std::int64_t>(want), want_wide) << "dim " << d;
-    for (const KernelBackend backend : supported_simd_backends()) {
-      EXPECT_EQ(kernel_ops(backend).dot_i8(a.data(), b.data(), d), want)
-          << backend_name(backend) << " dim " << d;
+    };
+    std::vector<std::int8_t> q(d);
+    std::vector<std::int8_t> rows(kRows * d);
+    for (std::int8_t& x : q) x = draw();
+    for (std::int8_t& x : rows) x = draw();
+    // Stats only feed num/den; with prune_max = +inf nothing is a hit.
+    const std::vector<double> zeros(kRows, 0.0);
+    const std::vector<float> ones(kRows, 1.0F);
+    const QuantStatsSoa stats{zeros.data(), zeros.data(), zeros.data(),
+                              zeros.data(), ones.data()};
+    QuantSweepQuery qc;
+    qc.floor = 1.0;
+    for (const KernelBackend b : all_backends()) {
+      const KernelOps& ops = kernel_ops(b);
+      EXPECT_EQ(ops.backend, b);
+      std::vector<std::int32_t> dots(kRows, 0);
+      std::vector<double> num(kRows);
+      std::vector<double> den(kRows);
+      std::vector<std::uint32_t> hits(kRows);
+      EXPECT_EQ(ops.quant_screen_sweep(qc, q.data(), rows.data(), d, stats,
+                                       kRows, kInf, dots.data(), num.data(),
+                                       den.data(), hits.data()),
+                0U);
+      for (std::size_t j = 0; j < kRows; ++j) {
+        EXPECT_EQ(dots[j], wide_dot(q.data(), rows.data() + j * d, d))
+            << backend_name(b) << " dim " << d << " row " << j;
+      }
     }
   }
 }
@@ -296,30 +258,6 @@ EmbeddingStore synth_store(std::size_t n, std::size_t d, std::uint64_t seed) {
     store.add("r#" + std::to_string(i), row_matrix(rows[i]));
   }
   return store;
-}
-
-TEST(KernelSweep, Int8BlockSweepMatchesPerPairDots) {
-  // n = 37 leaves a ragged tail past every 4-row grouping; the dims
-  // straddle the 16-lane int8 width (and 8/20 force the AVX2 fused
-  // screen path's unfused fallback in the test below).
-  const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
-  for (const std::size_t d : {1UL, 5UL, 15UL, 16UL, 17UL, 32UL, 48UL}) {
-    const EmbeddingStore store = synth_store(37, d, 1000 + d);
-    const std::int8_t* base = store.qrow(0).data();
-    const std::int8_t* q = store.qrow(3).data();
-    std::vector<std::int32_t> want(store.size());
-    for (std::size_t j = 0; j < store.size(); ++j) {
-      want[j] = scalar.dot_i8(q, store.qrow(j).data(), d);
-    }
-    std::vector<std::int32_t> got(store.size());
-    scalar.dot_i8_sweep(q, base, store.size(), d, got.data());
-    EXPECT_EQ(got, want) << "scalar dim " << d;
-    for (const KernelBackend b : supported_simd_backends()) {
-      std::fill(got.begin(), got.end(), 0);
-      kernel_ops(b).dot_i8_sweep(q, base, store.size(), d, got.data());
-      EXPECT_EQ(got, want) << backend_name(b) << " dim " << d;
-    }
-  }
 }
 
 // ---- Bound soundness ------------------------------------------------------
@@ -335,14 +273,13 @@ TEST(QuantBounds, EncloseTheExactCosineOnFuzzedRows) {
   for (std::size_t i = 0; i < kRows; ++i) {
     store.add("r#" + std::to_string(i), row_matrix(rows[i]));
   }
-  const KernelOps& ops = kernel_ops(KernelBackend::kScalar);
   util::Rng rng(17);
   for (int trial = 0; trial < 1000; ++trial) {
     const std::size_t i = rng.next_below(kRows);
     const std::size_t j = rng.next_below(kRows);
     const QuantRowView a = store.quant_view(i);
     const QuantRowView b = store.quant_view(j);
-    const std::int32_t dot = ops.dot_i8(a.q, b.q, kDim);
+    const auto dot = static_cast<std::int32_t>(wide_dot(a.q, b.q, kDim));
     const CosineBounds bounds = quantized_cosine_bounds(a, b, dot, kDim);
     const float exact = cosine_cell(store.row(i).data(), store.row(j).data(),
                                     kDim, store.norm(i) * store.norm(j));
@@ -377,21 +314,14 @@ TEST(QuantBounds, StoreStatsSoaMatchesPerRowGates) {
   check_all();
 }
 
-TEST(QuantBounds, MarginAndScreenSweepsAreSoundAndSelfConsistent) {
-  // The sweep kernels' contract, per backend: (1) the fused
-  // quant_screen_sweep equals dot_i8_sweep + quant_margin_sweep on the
-  // same backend, lane for lane; (2) dots and den are bit-identical to
-  // the scalar per-pair reference on every backend; (3) the hit list is
-  // exactly {j : num[j] > prune_max·den[j]}, ascending; (4) soundness:
-  // every candidate the exact scalar cell puts above the threshold is a
-  // hit (nothing scoring > t is ever pruned), and prune_max = −inf
-  // keeps everything.
+TEST(QuantBounds, ScreenSweepIsSoundAndSelfConsistent) {
+  // The screen sweep's contract, per backend: (1) dots and den are
+  // bit-identical to the per-pair reference on every backend; (2) the
+  // hit list is exactly {j : num[j] > prune_max·den[j]}, ascending;
+  // (3) soundness: every candidate the exact scalar cell puts above the
+  // threshold is a hit (nothing scoring > t is ever pruned), and
+  // prune_max = −inf keeps everything.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<KernelBackend> backends{KernelBackend::kScalar};
-  for (const KernelBackend b : supported_simd_backends()) {
-    backends.push_back(b);
-  }
-  const KernelOps& scalar = kernel_ops(KernelBackend::kScalar);
   for (const std::size_t d : {8UL, 16UL, 20UL, 32UL}) {
     const EmbeddingStore store = synth_store(37, d, 2000 + d);
     const QuantStatsSoa soa = store.quant_stats();
@@ -401,9 +331,12 @@ TEST(QuantBounds, MarginAndScreenSweepsAreSoundAndSelfConsistent) {
       const QuantGate ga = make_quant_gate(store.quant_view(qi), d);
       const QuantSweepQuery qc = make_sweep_query(ga);
       std::vector<std::int32_t> ref_dots(n);
-      scalar.dot_i8_sweep(ga.q, base, n, d, ref_dots.data());
+      for (std::size_t j = 0; j < n; ++j) {
+        ref_dots[j] = static_cast<std::int32_t>(
+            wide_dot(ga.q, store.qrow(j).data(), d));
+      }
       for (const double prune_max : {0.5, -kInf}) {
-        for (const KernelBackend b : backends) {
+        for (const KernelBackend b : all_backends()) {
           SCOPED_TRACE(std::string(backend_name(b)) + " dim " +
                        std::to_string(d) + " query " + std::to_string(qi) +
                        " prune_max " + std::to_string(prune_max));
@@ -416,20 +349,6 @@ TEST(QuantBounds, MarginAndScreenSweepsAreSoundAndSelfConsistent) {
               qc, ga.q, base, d, soa, n, prune_max, dots.data(), num.data(),
               den.data(), hits.data());
           EXPECT_EQ(dots, ref_dots);
-          std::vector<std::int32_t> dots2(n);
-          std::vector<double> num2(n);
-          std::vector<double> den2(n);
-          std::vector<std::uint32_t> hits2(n);
-          ops.dot_i8_sweep(ga.q, base, n, d, dots2.data());
-          const std::size_t n_hits2 =
-              ops.quant_margin_sweep(qc, soa, dots2.data(), n, prune_max,
-                                     num2.data(), den2.data(), hits2.data());
-          EXPECT_EQ(num, num2);
-          EXPECT_EQ(den, den2);
-          ASSERT_EQ(n_hits, n_hits2);
-          for (std::size_t h = 0; h < n_hits; ++h) {
-            EXPECT_EQ(hits[h], hits2[h]) << "hit " << h;
-          }
           std::size_t expect_hit = 0;
           for (std::size_t j = 0; j < n; ++j) {
             const QuantGate gb = make_quant_gate(store.quant_view(j), d);
@@ -477,11 +396,7 @@ TEST(QuantBounds, SurvivorScanMatchesItsPredicateOnEveryBackend) {
           want.push_back(static_cast<std::uint32_t>(j));
         }
       }
-      std::vector<KernelBackend> backends{KernelBackend::kScalar};
-      for (const KernelBackend b : supported_simd_backends()) {
-        backends.push_back(b);
-      }
-      for (const KernelBackend b : backends) {
+      for (const KernelBackend b : all_backends()) {
         std::vector<std::uint32_t> got(n + 1, 0xFFFFFFFFU);
         const std::size_t n_hits = kernel_ops(b).quant_survivor_scan(
             num.data(), den.data(), n, keep_lb, got.data());
@@ -596,8 +511,6 @@ TEST(QuantPrefilter, TopKBitIdenticalToExhaustiveScan) {
   // The per-store function itself, on every backend, against a brute
   // force over the store: candidate limits below the store size (rows
   // admitted after a snapshot), tombstones, an excluded row, and ties.
-  std::vector<KernelBackend> backends{KernelBackend::kScalar};
-  for (const KernelBackend b : supported_simd_backends()) backends.push_back(b);
   for (std::size_t s = 0; s < pre.num_shards(); ++s) {
     const EmbeddingStore& store = pre.shard(s);
     const std::size_t n = store.size();
@@ -618,7 +531,7 @@ TEST(QuantPrefilter, TopKBitIdenticalToExhaustiveScan) {
                                return x.similarity > y.similarity;
                              });
             want.resize(std::min(k, want.size()));
-            for (const KernelBackend b : backends) {
+            for (const KernelBackend b : all_backends()) {
               const std::vector<ScreenMatch> got =
                   store_top_k(store, limit, exclude, store, query, k,
                               /*prefilter=*/true, kernel_ops(b));
@@ -638,25 +551,81 @@ TEST(QuantPrefilter, TopKBitIdenticalToExhaustiveScan) {
 }
 
 TEST(QuantPrefilter, FlagBitIdenticalToExhaustiveScan) {
-  constexpr std::size_t kRows = 384;
+  // ShardedCorpus::flag over {1, 2, 4} shards, prefilter off and on,
+  // against the independent PairwiseScorer::flag: every row resident
+  // under four names (exact ties straddle shards), tombstones, and δ
+  // from pruning hard (0.5, 0.9) to flagging every pair (−2: the gate
+  // never fires, ub > −2 always).
+  constexpr std::size_t kRows = 96;
   constexpr std::size_t kDim = 16;
-  ScorerOptions exact_options;
-  ScorerOptions pre_options;
-  pre_options.int8_prefilter = true;
-  ShardedCorpus exact(2, exact_options);
-  ShardedCorpus pre(2, pre_options);
-  fill_synth_corpus(exact, kRows, 12, kDim);
-  fill_synth_corpus(pre, kRows, 12, kDim);
-  // δ = 0.5 prunes hard; δ = −2 flags every pair (the gate never fires:
-  // ub > −2 always) — both ends must agree exactly.
+  const std::vector<std::vector<float>> rows =
+      synth_rows(kRows, kDim, /*seed=*/59);
+  const auto fill = [&rows](auto& corpus) {
+    for (int owner = 0; owner < 4; ++owner) {
+      for (std::size_t i = 0; i < kRows; ++i) {
+        corpus.add("r#" + std::to_string(i) + "@" + std::to_string(owner),
+                   row_matrix(rows[i]));
+      }
+    }
+    for (const std::size_t dead : {1UL, 50UL, 200UL, 4 * kRows - 1}) {
+      corpus.remove(dead);
+    }
+  };
+  PairwiseScorer reference;
+  fill(reference);
   for (const float delta : {0.5F, 0.9F, -2.0F}) {
-    const std::vector<PairScore> want = exact.flag(delta);
-    const std::vector<PairScore> got = pre.flag(delta);
-    ASSERT_EQ(got.size(), want.size()) << "delta " << delta;
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      EXPECT_EQ(got[r].a, want[r].a);
-      EXPECT_EQ(got[r].b, want[r].b);
-      EXPECT_EQ(got[r].similarity, want[r].similarity);
+    const std::vector<PairScore> want = reference.flag(delta);
+    ASSERT_FALSE(want.empty()) << "delta " << delta;
+    for (const std::size_t shards : {1UL, 2UL, 4UL}) {
+      for (const bool prefilter : {false, true}) {
+        SCOPED_TRACE("delta " + std::to_string(delta) + ", " +
+                     std::to_string(shards) + " shards, prefilter " +
+                     (prefilter ? "on" : "off"));
+        ScorerOptions options;
+        options.int8_prefilter = prefilter;
+        ShardedCorpus corpus(shards, options);
+        fill(corpus);
+        const std::vector<PairScore> got = corpus.flag(delta);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(got[r].a, want[r].a);
+          EXPECT_EQ(got[r].b, want[r].b);
+          EXPECT_EQ(got[r].similarity, want[r].similarity);
+        }
+        if (shards != 2 || !prefilter) continue;
+        // The per-store function itself, on every backend, against a
+        // brute force over the store in (a, b) order: candidate limits
+        // below the store size and tombstones inside them.
+        for (std::size_t sh = 0; sh < shards; ++sh) {
+          const EmbeddingStore& store = corpus.shard(sh);
+          for (const std::size_t limit : {store.size(), store.size() / 2}) {
+            std::vector<PairScore> brute;
+            for (std::size_t a = 0; a < limit; ++a) {
+              for (std::size_t b = a + 1; b < limit; ++b) {
+                if (!store.live(a) || !store.live(b)) continue;
+                const float sim =
+                    cosine_cell(store.row(a).data(), store.row(b).data(),
+                                kDim, store.norm(a) * store.norm(b));
+                if (sim > delta) brute.push_back({a, b, sim});
+              }
+            }
+            for (const KernelBackend b : all_backends()) {
+              for (const bool gate : {false, true}) {
+                const std::vector<PairScore> pairs =
+                    store_flag(store, limit, delta, gate, kernel_ops(b));
+                ASSERT_EQ(pairs.size(), brute.size())
+                    << backend_name(b) << " shard " << sh << " limit "
+                    << limit << " gate " << gate;
+                for (std::size_t r = 0; r < brute.size(); ++r) {
+                  EXPECT_EQ(pairs[r].a, brute[r].a);
+                  EXPECT_EQ(pairs[r].b, brute[r].b);
+                  EXPECT_EQ(pairs[r].similarity, brute[r].similarity);
+                }
+              }
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -794,9 +763,9 @@ TEST(QuantPrefilter, AuditVerdictsIdenticalWithPrefilterOn) {
 // ---- Exact mode ignores the backend knob ----------------------------------
 
 TEST(ExactMode, BackendKnobNeverPerturbsExactScoring) {
-  // exact_scoring (the default, and what every audit layer keeps) pins
-  // the scalar sweep no matter which backend is requested — identical
-  // bits with the knob set to the fastest supported backend.
+  // Every float cell is the scalar cosine_cell no matter which backend
+  // is requested — identical bits with the knob set to the fastest
+  // supported backend.
   constexpr std::size_t kRows = 128;
   constexpr std::size_t kDim = 16;
   ScorerOptions scalar_options;
@@ -815,27 +784,6 @@ TEST(ExactMode, BackendKnobNeverPerturbsExactScoring) {
     for (std::size_t c = 0; c < want.cols(); ++c) {
       ASSERT_EQ(got.at(r, c), want.at(r, c)) << "cell (" << r << "," << c
                                              << ")";
-    }
-  }
-}
-
-TEST(ExactMode, NonExactFloatPathTracksScalarClosely) {
-  if (supported_simd_backends().empty()) GTEST_SKIP();
-  constexpr std::size_t kRows = 128;
-  constexpr std::size_t kDim = 16;
-  ScorerOptions scalar_options;
-  ScorerOptions simd_options;
-  simd_options.exact_scoring = false;
-  simd_options.kernel = supported_simd_backends().front();
-  ShardedCorpus a(2, scalar_options);
-  ShardedCorpus b(2, simd_options);
-  fill_synth_corpus(a, kRows, 4, kDim);
-  fill_synth_corpus(b, kRows, 4, kDim);
-  const tensor::Matrix want = a.score_new_rows(kRows);
-  const tensor::Matrix got = b.score_new_rows(kRows);
-  for (std::size_t r = 0; r < want.rows(); ++r) {
-    for (std::size_t c = 0; c < want.cols(); ++c) {
-      ASSERT_NEAR(got.at(r, c), want.at(r, c), 1e-5F);
     }
   }
 }

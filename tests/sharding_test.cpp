@@ -174,11 +174,13 @@ TEST(ShardedCorpus, TopKAndFlagBitIdenticalAcrossShardAndWorkerCounts) {
     }
   }
 
-  // More top_k inputs, with the int8 prefilter off and on: every design
-  // resident under four names with one embedding (exact ties straddle
-  // the k-th place), k = 1 up to k ≥ live candidates, every live row as
-  // the query, tombstones inside the candidate prefix, and — after the
-  // query's shard mates are removed — a query alone in its shard.
+  // More top_k and flag inputs, with the int8 prefilter off and on:
+  // every design resident under four names with one embedding (exact
+  // ties straddle the k-th place and the shards), k = 1 up to k ≥ live
+  // candidates, every live row as the query, tombstones inside the
+  // candidate prefix, δ from 0.9 down to −2 (every pair flagged), and —
+  // after the query's shard mates are removed — a query alone in its
+  // shard.
   const auto expect_top_k = [&](const ShardedCorpus& corpus,
                                 const PairwiseScorer& ref, std::size_t q,
                                 const std::string& label) {
@@ -216,6 +218,17 @@ TEST(ShardedCorpus, TopKAndFlagBitIdenticalAcrossShardAndWorkerCounts) {
       }
       for (std::size_t q = 0; q < ref.size(); ++q) {
         if (ref.live(q)) expect_top_k(corpus, ref, q, label);
+      }
+      for (const float delta : {0.5F, 0.9F, -2.0F}) {
+        const std::vector<PairScore> want = ref.flag(delta);
+        const std::vector<PairScore> got = corpus.flag(delta);
+        ASSERT_EQ(got.size(), want.size()) << label << " delta " << delta;
+        for (std::size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(got[r].a, want[r].a) << label << " delta " << delta;
+          EXPECT_EQ(got[r].b, want[r].b) << label << " delta " << delta;
+          EXPECT_EQ(got[r].similarity, want[r].similarity)
+              << label << " delta " << delta;
+        }
       }
       if (shards == 1) continue;
       for (std::size_t j = 1; j < ref.size(); ++j) {
