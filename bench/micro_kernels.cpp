@@ -25,6 +25,7 @@
 #include "data/rtl_designs.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
+#include "gnn/model_io.h"
 #include "train/trainer.h"
 #include "verilog/parser.h"
 
@@ -606,24 +607,30 @@ BENCHMARK(BM_TopK10k)->Arg(0)->Arg(1)->UseRealTime();
 // One resident-cache commit at 10k residents, the shape of the
 // resident_screen benchmark's commits (2 shards x 2 threads, int8
 // prefilter): a new name is embedded, admitted and screened, the
-// coldest resident is evicted, and the corpus compacts and remaps the
-// name index. The 64 corpus designs are resident under ~156 names each.
+// coldest resident is evicted, and the corpus compacts (the tombstone
+// becomes a hole; a store is rewritten once holes reach 1/8 of it) and
+// remaps the name index. The 64 corpus designs are resident under ~156
+// names each.
 // The model is untrained, so nearly every pair scores above 0.5; δ =
 // 0.99 keeps the flags near the benchmark's few hundred per screen
 // (the `flagged` counter), so verdict building does not swamp the
 // bookkeeping this bench is for.
-void BM_CommitEvict10k(benchmark::State& state) {
-  constexpr std::size_t kResident = 10'000;
-  const std::vector<train::GraphEntry>& entries = scoring_corpus();
-  gnn::Hw2Vec model;
+audit::AuditOptions commit_evict_options() {
   audit::AuditOptions options;
   options.num_shards = 2;
-  options.max_resident = kResident;
+  options.max_resident = 10'000;
   options.scorer.num_threads = 2;
   options.scorer.int8_prefilter = true;
   options.scorer.delta = 0.99F;
-  audit::AuditService service(model, options);
-  for (std::size_t i = 0; i < kResident; ++i) {
+  return options;
+}
+
+/// The commit loop of BM_CommitEvict10k over any service backend: fill
+/// max_resident unpinned residents, then one submit + screen a round.
+void commit_evict_loop(benchmark::State& state, audit::AuditService& service,
+                       std::size_t resident) {
+  const std::vector<train::GraphEntry>& entries = scoring_corpus();
+  for (std::size_t i = 0; i < resident; ++i) {
     const std::string name = "resident#" + std::to_string(i);
     (void)service.add_library(name, entries[i % entries.size()].tensors);
     service.unpin(name);
@@ -640,7 +647,41 @@ void BM_CommitEvict10k(benchmark::State& state) {
   state.counters["flagged"] = static_cast<double>(flagged) /
                               static_cast<double>(state.iterations());
 }
+
+void BM_CommitEvict10k(benchmark::State& state) {
+  const audit::AuditOptions options = commit_evict_options();
+  audit::AuditService service(gnn::Hw2Vec{}, options);
+  commit_evict_loop(state, service, options.max_resident);
+}
 BENCHMARK(BM_CommitEvict10k)->UseRealTime();
+
+// BM_CommitEvict10k's loop with the resident rows on 2 in-process
+// ShardServers behind loopback TCP (a DistCorpus front end): each commit
+// also carries the admission, removal and Retire frames to the servers.
+void BM_RemoteCommitEvict(benchmark::State& state) {
+  dist::ShardServerOptions server_options;
+  server_options.poll_ms = 5;
+  std::vector<std::unique_ptr<dist::ShardServer>> servers;
+  std::vector<std::thread> serving;
+  std::vector<dist::Endpoint> endpoints;
+  for (std::size_t s = 0; s < 2; ++s) {
+    servers.push_back(std::make_unique<dist::ShardServer>(0, server_options));
+    endpoints.push_back({"127.0.0.1", servers.back()->port()});
+    serving.emplace_back([&server = *servers.back()] { server.serve(); });
+  }
+  {
+    const audit::AuditOptions options = commit_evict_options();
+    gnn::Hw2Vec model;
+    const std::string fingerprint = gnn::model_fingerprint(model);
+    audit::AuditService service(
+        std::move(model), options,
+        dist::DistCorpus::connect(endpoints, fingerprint, options.scorer));
+    commit_evict_loop(state, service, options.max_resident);
+  }  // hang up before stopping the servers
+  for (auto& server : servers) server->stop();
+  for (std::thread& t : serving) t.join();
+}
+BENCHMARK(BM_RemoteCommitEvict)->UseRealTime();
 
 // --- Distributed screening over real loopback TCP. ---
 //

@@ -395,9 +395,20 @@ void AuditService::commit_one(std::size_t ticket, const std::string& name,
   // or through the int8 prefilter. A same-name row replaced by admit()
   // above is a tombstone here, excluded like any other tombstone.
   if (n > 1) {
-    const std::vector<core::ScreenRow> screened =
+    std::vector<core::ScreenRow> screened =
         corpus_->screen_new_rows(n - 1, options_.scorer.delta);
-    const core::ScreenRow& srow = screened.front();
+    core::ScreenRow& srow = screened.front();
+    // Verdict order is (similarity desc, index asc) — total, since
+    // indices are distinct — so sorting the plain matches before the
+    // names are copied gives the same order as sorting the Verdicts.
+    std::sort(srow.flagged.begin(), srow.flagged.end(),
+              [](const core::ScreenMatch& x, const core::ScreenMatch& y) {
+                if (x.similarity != y.similarity) {
+                  return x.similarity > y.similarity;
+                }
+                return x.index < y.index;
+              });
+    report.verdicts.reserve(srow.flagged.size());
     for (const core::ScreenMatch& m : srow.flagged) {
       Verdict v;
       v.matched = corpus_->name(m.index);
@@ -414,13 +425,6 @@ void AuditService::commit_one(std::size_t ticket, const std::string& name,
       v.flagged = srow.best->similarity > options_.scorer.delta;
       report.best = std::move(v);
     }
-    std::sort(report.verdicts.begin(), report.verdicts.end(),
-              [](const Verdict& x, const Verdict& y) {
-                if (x.similarity != y.similarity) {
-                  return x.similarity > y.similarity;
-                }
-                return x.corpus_index < y.corpus_index;
-              });
   }
   report.submission.accepted = true;
   report.submission.corpus_index = row;

@@ -72,6 +72,7 @@ std::size_t EmbeddingStore::add(std::string name,
   data_.insert(data_.end(), flat.begin(), flat.end());
   names_.push_back(std::move(name));
   dead_.push_back(false);
+  hole_.push_back(false);
   ++live_count_;
   const std::size_t index = names_.size() - 1;
   qdata_.resize(qdata_.size() + dim_);
@@ -150,6 +151,8 @@ std::vector<std::size_t> EmbeddingStore::compact() {
   names_.resize(next);
   data_.resize(next * dim_);
   dead_.assign(next, false);
+  hole_.assign(next, false);
+  holes_ = 0;
   qdata_.resize(next * dim_);
   scales_.resize(next);
   norms_.resize(next);
@@ -163,6 +166,17 @@ std::vector<std::size_t> EmbeddingStore::compact() {
   return mapping;
 }
 
+std::vector<std::size_t> EmbeddingStore::retire() {
+  holes_ = names_.size() - live_count_;
+  if (holes_ * kReclaimDivisor >= names_.size()) return compact();
+  std::vector<std::size_t> mapping(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    mapping[i] = dead_[i] ? kNoIndex : i;
+  }
+  hole_ = dead_;
+  return mapping;
+}
+
 namespace {
 
 /// Names past this length are treated as corruption: a flipped bit in
@@ -172,6 +186,22 @@ constexpr std::uint64_t kMaxNameLength = 1u << 20;
 }  // namespace
 
 void EmbeddingStore::save(std::ostream& os) const {
+  // Holes are not part of the saved state: every section below walks
+  // the maximal runs of kept rows, so a store with holes writes the
+  // bytes of its eagerly compacted twin (one run when there are none).
+  const auto for_each_run = [this](const auto& write_run) {
+    std::size_t i = 0;
+    while (i < names_.size()) {
+      if (hole_[i]) {
+        ++i;
+        continue;
+      }
+      std::size_t end = i + 1;
+      while (end < names_.size() && !hole_[end]) ++end;
+      write_run(i, end);
+      i = end;
+    }
+  };
   // Fixed-offset header (docs/FORMATS.md): magic, version, byte-order
   // mark, dim, row count, live count — then the float block starts at
   // byte 40, 8-byte-aligned, so a loader may mmap it in place.
@@ -179,24 +209,35 @@ void EmbeddingStore::save(std::ostream& os) const {
   write_u32(os, kShardFormatVersion);
   write_u32(os, kByteOrderMark);
   write_u64(os, dim_);
-  write_u64(os, names_.size());
+  write_u64(os, names_.size() - holes_);
   write_u64(os, live_count_);
-  write_bytes(os, data_.data(), data_.size() * sizeof(float));
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    const std::uint8_t flag = dead_[i] ? 0 : 1;
-    write_bytes(os, &flag, 1);
-  }
-  for (const std::string& name : names_) {
-    write_u64(os, name.size());
-    write_bytes(os, name.data(), name.size());
-  }
+  for_each_run([&](std::size_t begin, std::size_t end) {
+    write_bytes(os, data_.data() + begin * dim_,
+                (end - begin) * dim_ * sizeof(float));
+  });
+  for_each_run([&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint8_t flag = dead_[i] ? 0 : 1;
+      write_bytes(os, &flag, 1);
+    }
+  });
+  for_each_run([&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      write_u64(os, names_[i].size());
+      write_bytes(os, names_[i].data(), names_[i].size());
+    }
+  });
   // Optional quantized-tier section: tag, per-row scales, int8 block.
   // Derived norms are recomputed on load (cheaper than their bytes);
   // scales and q are written so a loader can cross-check the tier
   // against a deterministic rebuild and reject a tampered section.
   write_bytes(os, kQuantSectionTag, sizeof(kQuantSectionTag));
-  write_bytes(os, scales_.data(), scales_.size() * sizeof(float));
-  write_bytes(os, qdata_.data(), qdata_.size());
+  for_each_run([&](std::size_t begin, std::size_t end) {
+    write_bytes(os, scales_.data() + begin, (end - begin) * sizeof(float));
+  });
+  for_each_run([&](std::size_t begin, std::size_t end) {
+    write_bytes(os, qdata_.data() + begin * dim_, (end - begin) * dim_);
+  });
 }
 
 EmbeddingStore EmbeddingStore::load(std::istream& is,
@@ -238,6 +279,7 @@ EmbeddingStore EmbeddingStore::load(std::istream& is,
   read_bytes(is, store.data_.data(), store.data_.size() * sizeof(float),
              "shard row block");
   store.dead_.resize(rows);
+  store.hole_.assign(rows, false);
   std::size_t counted_live = 0;
   for (std::uint64_t i = 0; i < rows; ++i) {
     std::uint8_t flag = 0;

@@ -5,7 +5,9 @@
 // zero-copy viewable through row()/rows()), and stays bounded through
 // the two-phase removal API: remove(i) tombstones a row (cheap,
 // batchable), compact() erases every tombstoned row in one pass and
-// reports the old→new index remapping.
+// reports the old→new index remapping. retire() is the lazy variant the
+// sharded corpora use: tombstones become holes that keep their row
+// numbers, and the store is rewritten only once holes reach 1/8 of it.
 //
 // The store holds no scoring logic and no locks — it is the shard
 // unit, guarded *externally* by whoever owns it: ShardedCorpus holds
@@ -98,7 +100,8 @@ class EmbeddingStore {
 
   /// Tombstone row `i`: it keeps its index (and name(i)) — and its data
   /// stays positionally addressable through row() — but it is skipped by
-  /// live-row consumers and erased by the next compact().
+  /// live-row consumers and erased by the next compact() (or held as a
+  /// hole by the next retire()).
   void remove(std::size_t i);
 
   /// True while row `i` has not been removed. Inline: the screening
@@ -111,7 +114,24 @@ class EmbeddingStore {
   /// Rows not yet removed.
   [[nodiscard]] std::size_t live_count() const { return live_count_; }
 
-  /// Erase every removed row in one pass. Returns the index remapping:
+  /// Holes: dead rows retire() kept in place (see below).
+  [[nodiscard]] std::size_t hole_count() const { return holes_; }
+
+  /// retire() rewrites the store once holes reach 1/kReclaimDivisor of
+  /// its rows.
+  static constexpr std::size_t kReclaimDivisor = 8;
+
+  /// Turn every tombstone into a hole: a dead row that keeps its row
+  /// number (and stays !live(), so every sweep skips it) but that save()
+  /// never writes. Once holes reach 1/kReclaimDivisor of size(), the
+  /// store is compacted instead. Returns compact()'s mapping shape:
+  /// result[old] = new row or kNoIndex — the identity for live rows when
+  /// nothing is reclaimed. Two stores holding the same rows, holes
+  /// and tombstones retire to the same numbering.
+  std::vector<std::size_t> retire();
+
+  /// Erase every removed row (holes included) in one pass. Returns the
+  /// index remapping:
   /// result[old_index] is the row's new index, or kNoIndex if it was
   /// removed. No-op (identity mapping) when nothing is removed.
   std::vector<std::size_t> compact();
@@ -122,7 +142,8 @@ class EmbeddingStore {
 
   // ---- Persistence (binary shard format v1) -----------------------------
   /// Write the store — header, exact float bytes, live flags, name
-  /// table — to `os` (caller opens the stream in binary mode).
+  /// table — to `os` (caller opens the stream in binary mode). Holes are
+  /// left out, so the file is the one the eagerly compacted store writes.
   void save(std::ostream& os) const;
 
   /// Reconstruct a store saved by save(). With `expected_dim` > 0 the
@@ -140,8 +161,10 @@ class EmbeddingStore {
   std::size_t dim_ = 0;
   std::vector<std::string> names_;
   std::vector<float> data_;  // row-major N×dim_
-  std::vector<bool> dead_;   // tombstones; erased by compact()
+  std::vector<bool> dead_;   // tombstones and holes; erased by compact()
+  std::vector<bool> hole_;   // dead rows retire() kept in place
   std::size_t live_count_ = 0;
+  std::size_t holes_ = 0;
   // Quant tier, parallel to data_ (row i owns qdata_[i*dim_..), one
   // scalar per row in the others). Rebuilt deterministically from the
   // float rows, so a loaded store's tier matches the saved one exactly.

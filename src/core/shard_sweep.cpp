@@ -9,19 +9,8 @@
 
 namespace gnn4ip::core {
 
-namespace {
+namespace detail {
 
-/// A candidate the prefilter pruned from the screen's rescore class that
-/// may still be the best match: its local row and upper bound.
-struct BandCandidate {
-  std::size_t local = 0;
-  float ub = 0.0F;
-};
-
-/// Resolve `row.best` against the band: walk it in descending bound
-/// order (ascending local index on ties), rescoring exactly until no
-/// remaining bound can beat or index-tie-break the best. Every rescore
-/// counts in row.rescored.
 void settle_best(std::vector<BandCandidate>& band, const ScreenProbe& probe,
                  const EmbeddingStore& store, ScreenRow& row) {
   std::sort(band.begin(), band.end(),
@@ -46,18 +35,41 @@ void settle_best(std::vector<BandCandidate>& band, const ScreenProbe& probe,
   }
 }
 
-}  // namespace
+}  // namespace detail
 
-ScreenProbe screen_probe(const EmbeddingStore& store, std::size_t i) {
-  return {store.row(i).data(), store.norm(i),
-          make_quant_gate(store.quant_view(i), store.dim())};
-}
+namespace {
 
-std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
-                                    std::size_t limit,
-                                    std::span<const ScreenProbe> probes,
-                                    float delta, bool prefilter,
-                                    const KernelOps& ops) {
+/// The prefiltered screen's per-candidate lanes, allocated once per
+/// caller: store_flag screens every row through one of these.
+class SweepScratch {
+ public:
+  /// Make room for `lanes` candidates (grows only).
+  void ensure(std::size_t lanes) {
+    if (lanes <= lanes_) return;
+    dots = std::make_unique_for_overwrite<std::int32_t[]>(lanes);
+    num = std::make_unique_for_overwrite<double[]>(lanes);
+    den = std::make_unique_for_overwrite<double[]>(lanes);
+    hits = std::make_unique_for_overwrite<std::uint32_t[]>(lanes);
+    lanes_ = lanes;
+  }
+
+  std::unique_ptr<std::int32_t[]> dots;
+  std::unique_ptr<double[]> num;
+  std::unique_ptr<double[]> den;
+  std::unique_ptr<std::uint32_t[]> hits;
+
+ private:
+  std::size_t lanes_ = 0;
+};
+
+/// store_screen with the live-candidate count (the `scanned` tally of
+/// the prefiltered path) and the scratch lanes supplied by the caller.
+std::vector<ScreenRow> screen_prefix(const EmbeddingStore& store,
+                                     std::size_t limit, std::size_t live_n,
+                                     std::span<const ScreenProbe> probes,
+                                     float delta, bool prefilter,
+                                     const KernelOps& ops,
+                                     SweepScratch& scratch) {
   std::vector<ScreenRow> out(probes.size());
   const std::size_t d = store.dim();
   if (!prefilter) {
@@ -88,21 +100,18 @@ std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
   // the kernels emit. Dead rows burn a sweep lane but are skipped in the
   // walks. Every scratch lane is written by the sweep before it is read.
   const QuantStatsSoa soa = store.quant_stats();
-  std::size_t live_n = 0;
-  for (std::size_t local = 0; local < limit; ++local) {
-    live_n += store.live(local) ? 1 : 0;
-  }
-  const auto dots = std::make_unique_for_overwrite<std::int32_t[]>(limit);
-  const auto num = std::make_unique_for_overwrite<double[]>(limit);
-  const auto den = std::make_unique_for_overwrite<double[]>(limit);
-  const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(limit);
+  scratch.ensure(limit);
+  std::int32_t* const dots = scratch.dots.get();
+  double* const num = scratch.num.get();
+  double* const den = scratch.den.get();
+  std::uint32_t* const hits = scratch.hits.get();
   const std::int8_t* qbase = limit > 0 ? store.qrow(0).data() : nullptr;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // num ≤ t·den implies exact ≤ t only for t ≥ −1 (the exact cell is
   // clamped); a sub-range delta disables pruning (−inf: every row is a
   // hit and rescores — the exact sweep).
   const double prune_max = delta >= -1.0F ? static_cast<double>(delta) : -kInf;
-  std::vector<BandCandidate> band;
+  std::vector<detail::BandCandidate> band;
   for (std::size_t r = 0; r < probes.size(); ++r) {
     ScreenRow& p = out[r];
     p.scanned = live_n;
@@ -112,7 +121,7 @@ std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
     // prune gets the exact cell (flags, best, and a witness for pass 2).
     const std::size_t n_rescore = ops.quant_screen_sweep(
         make_sweep_query(probe.gate), probe.gate.q, qbase, d, soa, limit,
-        prune_max, dots.get(), num.get(), den.get(), hits.get());
+        prune_max, dots, num, den, hits);
     float best_lb = -2.0F;
     for (std::size_t h = 0; h < n_rescore; ++h) {
       const std::size_t local = hits[h];
@@ -129,8 +138,8 @@ std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
     // tie-breaks never come into play (−inf below −1 keeps everything).
     const double keep_lb = best_lb > -1.0F ? best_lb : -kInf;
     double best_lb_d = best_lb;
-    const std::size_t n_band = ops.quant_survivor_scan(
-        num.get(), den.get(), limit, keep_lb, hits.get());
+    const std::size_t n_band =
+        ops.quant_survivor_scan(num, den, limit, keep_lb, hits);
     band.clear();
     for (std::size_t h = 0; h < n_band; ++h) {
       const std::size_t local = hits[h];
@@ -150,23 +159,55 @@ std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
         best_lb_d = bounds.lb;
       }
     }
-    settle_best(band, probe, store, p);
+    detail::settle_best(band, probe, store, p);
   }
   return out;
+}
+
+}  // namespace
+
+ScreenProbe screen_probe(const EmbeddingStore& store, std::size_t i) {
+  return {store.row(i).data(), store.norm(i),
+          make_quant_gate(store.quant_view(i), store.dim())};
+}
+
+std::vector<ScreenRow> store_screen(const EmbeddingStore& store,
+                                    std::size_t limit,
+                                    std::span<const ScreenProbe> probes,
+                                    float delta, bool prefilter,
+                                    const KernelOps& ops) {
+  // Holes and tombstones are not live, so over the whole store the live
+  // candidates are exactly live_count(); a prefix needs the walk.
+  std::size_t live_n = 0;
+  if (limit == store.size()) {
+    live_n = store.live_count();
+  } else {
+    for (std::size_t local = 0; local < limit; ++local) {
+      live_n += store.live(local) ? 1 : 0;
+    }
+  }
+  SweepScratch scratch;
+  return screen_prefix(store, limit, live_n, probes, delta, prefilter, ops,
+                       scratch);
 }
 
 std::vector<PairScore> store_flag(const EmbeddingStore& store,
                                   std::size_t limit, float delta,
                                   bool prefilter, const KernelOps& ops) {
   std::vector<PairScore> by_b;
-  for (std::size_t b = 1; b < limit; ++b) {
+  SweepScratch scratch;
+  if (prefilter) scratch.ensure(limit);
+  std::size_t live_below = 0;  // live rows in [0, b): row b's candidates
+  for (std::size_t b = 0; b < limit; ++b) {
     if (!store.live(b)) continue;
     const ScreenProbe probe = screen_probe(store, b);
     const std::vector<ScreenRow> screened =
-        store_screen(store, b, {&probe, 1}, delta, prefilter, ops);
+        screen_prefix(store, b, live_below, {&probe, 1}, delta, prefilter,
+                      ops, scratch);
     for (const ScreenMatch& m : screened.front().flagged) {
       by_b.push_back({m.index, b, m.similarity});
     }
+    ++live_below;
   }
   // Screening emits pairs ascending by (b, a); a stable counting
   // placement by a reorders them to (a, b) in linear time.
@@ -315,6 +356,48 @@ std::vector<PairScore> merge_top_k(std::vector<PairScore> merged,
       });
   merged.resize(keep);
   return merged;
+}
+
+std::size_t prefix_below(std::span<const std::size_t> globals,
+                         std::size_t n) {
+  // Holes read kNoIndex ≥ n: trailing holes fall outside the prefix,
+  // where no sweep needs them.
+  std::size_t limit = globals.size();
+  while (limit > 0 && globals[limit - 1] >= n) --limit;
+  return limit;
+}
+
+std::vector<std::size_t> retire_and_renumber(
+    std::span<EmbeddingStore> stores, std::vector<ShardRef>& entries,
+    std::span<std::vector<std::size_t>> globals) {
+  std::vector<std::vector<std::size_t>> local_maps(stores.size());
+  for (std::size_t s = 0; s < stores.size(); ++s) {
+    local_maps[s] = stores[s].retire();
+  }
+  // Within a store, ascending global order is ascending local order and
+  // a survivor's new row is never above its old one, so every write
+  // lands above the store's earlier writes: a hole marked in a reclaimed
+  // store is either overwritten by a later survivor or cut by the resize.
+  constexpr std::size_t kNoIndex = EmbeddingStore::kNoIndex;
+  std::vector<std::size_t> mapping(entries.size(), kNoIndex);
+  std::size_t next = 0;
+  for (std::size_t g = 0; g < entries.size(); ++g) {
+    const ShardRef e = entries[g];
+    const std::size_t local = local_maps[e.shard][e.local];
+    if (local == kNoIndex) {
+      globals[e.shard][e.local] = kNoIndex;
+      continue;
+    }
+    mapping[g] = next;
+    entries[next] = {e.shard, local};
+    globals[e.shard][local] = next;
+    ++next;
+  }
+  entries.resize(next);
+  for (std::size_t s = 0; s < stores.size(); ++s) {
+    globals[s].resize(stores[s].size());
+  }
+  return mapping;
 }
 
 }  // namespace gnn4ip::core

@@ -5,7 +5,8 @@
 // bit-identical because there is one copy of each decision. Sweep
 // results are keyed by the store's local row; within one store local
 // order equals global order, so merges rank on global indices with the
-// same tie-breaks.
+// same tie-breaks. Both front ends also keep their global index space
+// through the helpers at the end of this file.
 #pragma once
 
 #include <cstddef>
@@ -90,5 +91,47 @@ struct ScreenProbe {
 /// reproduces the single-store ranking.
 [[nodiscard]] std::vector<PairScore> merge_top_k(std::vector<PairScore> merged,
                                                  std::size_t k);
+
+// ---- The sharded global index space ---------------------------------------
+
+/// Where a global index lives: which store, and which local row.
+struct ShardRef {
+  std::size_t shard = 0;
+  std::size_t local = 0;
+};
+
+/// How many of a store's rows have a global index below `n`, given the
+/// store's local → global table (holes read kNoIndex): rows admitted
+/// after a snapshot of size n form a suffix of the store.
+[[nodiscard]] std::size_t prefix_below(std::span<const std::size_t> globals,
+                                       std::size_t n);
+
+/// compact() of a sharded corpus: every store retires its tombstones
+/// (EmbeddingStore::retire), then one pass over `entries` (global →
+/// ShardRef, ascending) renumbers the survivors densely in insertion
+/// order, in place, and rewrites `globals[s][local]` (kNoIndex for a
+/// hole). Returns result[old_global] = new_global or kNoIndex — the
+/// same for any shard count.
+[[nodiscard]] std::vector<std::size_t> retire_and_renumber(
+    std::span<EmbeddingStore> stores, std::vector<ShardRef>& entries,
+    std::span<std::vector<std::size_t>> globals);
+
+namespace detail {
+
+/// A candidate the prefilter pruned from the screen's rescore class that
+/// may still be the best match: its local row and upper bound.
+struct BandCandidate {
+  std::size_t local = 0;
+  float ub = 0.0F;
+};
+
+/// Resolve `row.best` against the band: walk it in descending bound
+/// order (ascending local index on ties), rescoring exactly until no
+/// remaining bound can beat or index-tie-break the best. Every rescore
+/// counts in row.rescored. Exposed for tests.
+void settle_best(std::vector<BandCandidate>& band, const ScreenProbe& probe,
+                 const EmbeddingStore& store, ScreenRow& row);
+
+}  // namespace detail
 
 }  // namespace gnn4ip::core

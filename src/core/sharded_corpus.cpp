@@ -105,7 +105,7 @@ std::span<const float> ShardedCorpus::row(std::size_t i) const {
   util::ReaderLock epoch(epoch_mu_);
   util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: row index out of range");
-  const EntryRef e = entries_[i];
+  const ShardRef e = entries_[i];
   util::ReaderLock stripe(*stripes_[e.shard]);
   return row_nolock(e);
 }
@@ -114,7 +114,7 @@ void ShardedCorpus::remove(std::size_t i) {
   util::ReaderLock epoch(epoch_mu_);
   util::WriterLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: remove out of range");
-  const EntryRef e = entries_[i];
+  const ShardRef e = entries_[i];
   {
     util::WriterLock stripe(*stripes_[e.shard]);
     shards_[e.shard].remove(e.local);
@@ -126,7 +126,7 @@ bool ShardedCorpus::live(std::size_t i) const {
   util::ReaderLock epoch(epoch_mu_);
   util::ReaderLock index(index_mu_);
   GNN4IP_ENSURE(i < entries_.size(), "ShardedCorpus: index out of range");
-  const EntryRef e = entries_[i];
+  const ShardRef e = entries_[i];
   util::ReaderLock stripe(*stripes_[e.shard]);
   return shards_[e.shard].live(e.local);
 }
@@ -140,30 +140,12 @@ std::vector<std::size_t> ShardedCorpus::compact() {
   // about to be rewritten.
   util::WriterLock epoch(epoch_mu_);
   util::WriterLock index(index_mu_);
-  // Compact each shard, then renumber the survivors densely in global
+  // Each shard retires its tombstones into holes (rewritten only at the
+  // 1/8 reclaim), then one pass renumbers the survivors densely in global
   // insertion order — the numbering a single-shard compact() would have
   // produced, so the mapping values never depend on the shard count.
-  std::vector<std::vector<std::size_t>> local_maps(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    local_maps[s] = shards_[s].compact();
-  }
-  std::vector<std::size_t> mapping(entries_.size(), kNoIndex);
-  std::vector<EntryRef> survivors;
-  survivors.reserve(live_count_);
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    const EntryRef& e = entries_[g];
-    const std::size_t new_local = local_maps[e.shard][e.local];
-    if (new_local == kNoIndex) continue;
-    mapping[g] = survivors.size();
-    survivors.push_back({e.shard, new_local});
-  }
-  entries_ = std::move(survivors);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    globals_[s].assign(shards_[s].size(), kNoIndex);
-  }
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    globals_[entries_[g].shard][entries_[g].local] = g;
-  }
+  std::vector<std::size_t> mapping =
+      retire_and_renumber(shards_, entries_, globals_);
   live_count_ = entries_.size();
   return mapping;
 }
@@ -191,8 +173,8 @@ const EmbeddingStore& ShardedCorpus::shard(std::size_t s) const {
 
 float ShardedCorpus::score(std::size_t i, std::size_t j) const {
   util::ReaderLock epoch(epoch_mu_);
-  EntryRef a;
-  EntryRef b;
+  ShardRef a;
+  ShardRef b;
   {
     util::ReaderLock index(index_mu_);
     GNN4IP_ENSURE(i < entries_.size() && j < entries_.size(),
@@ -210,7 +192,7 @@ tensor::Matrix ShardedCorpus::score_new_rows(std::size_t first_new) const {
   // stripes: rows admitted after the snapshot (global id ≥ n, or a
   // local slot past the snapshot of its shard) are skipped, so the
   // matrix is exactly the corpus as of entry.
-  std::vector<EntryRef> query_refs;
+  std::vector<ShardRef> query_refs;
   std::size_t n = 0;
   {
     util::ReaderLock index(index_mu_);
@@ -250,13 +232,14 @@ tensor::Matrix ShardedCorpus::score_new_rows(std::size_t first_new) const {
   const auto run_shard = [&](std::size_t s) {
     const float* rows = shards_[s].rows().data();
     const std::span<const float> norms = shards_[s].norms();
-    const std::size_t limit = prefix_below(s, n);
+    const std::size_t limit = prefix_below(globals_[s], n);
     for (std::size_t r = 0; r < new_rows; ++r) {
       const std::span<float> out = result.row(r);
       for (std::size_t local = 0; local < limit; ++local) {
-        out[globals_[s][local]] =
-            cosine_cell(query_rows[r].data(), rows + local * d, d,
-                        query_norms[r] * norms[local]);
+        const std::size_t g = globals_[s][local];
+        if (g == kNoIndex) continue;  // a hole has no column
+        out[g] = cosine_cell(query_rows[r].data(), rows + local * d, d,
+                             query_norms[r] * norms[local]);
       }
     }
   };
@@ -267,7 +250,7 @@ tensor::Matrix ShardedCorpus::score_new_rows(std::size_t first_new) const {
 std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
                                                       float delta) const {
   util::ReaderLock epoch(epoch_mu_);
-  std::vector<EntryRef> query_refs;
+  std::vector<ShardRef> query_refs;
   std::size_t n = 0;
   {
     util::ReaderLock index(index_mu_);
@@ -283,7 +266,7 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
   const StripeGuard stripes = lock_all_stripes_shared();
   std::vector<ScreenProbe> probes(new_rows);
   for (std::size_t r = 0; r < new_rows; ++r) {
-    const EntryRef& e = query_refs[r];
+    const ShardRef& e = query_refs[r];
     probes[r] = screen_probe(shards_[e.shard], e.local);
   }
   // Each shard screens its own candidates — live rows admitted before
@@ -293,8 +276,8 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
   const KernelOps& ops = kernel_ops(options_.kernel);
   std::vector<std::vector<ScreenRow>> parts(shards_.size());
   const auto run_shard = [&](std::size_t s) {
-    parts[s] = store_screen(shards_[s], prefix_below(s, first_new), probes,
-                            delta, options_.int8_prefilter, ops);
+    parts[s] = store_screen(shards_[s], prefix_below(globals_[s], first_new),
+                            probes, delta, options_.int8_prefilter, ops);
   };
   fan_out(shards_.size(), run_shard);
   return merge_screen(parts, globals_);
@@ -303,7 +286,7 @@ std::vector<ScreenRow> ShardedCorpus::screen_new_rows(std::size_t first_new,
 std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
                                             std::size_t k) const {
   util::ReaderLock epoch(epoch_mu_);
-  EntryRef query_ref;
+  ShardRef query_ref;
   std::size_t n = 0;
   {
     util::ReaderLock index(index_mu_);
@@ -324,7 +307,7 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
     const std::size_t exclude =
         s == query_ref.shard ? query_ref.local : kNoIndex;
     for (const ScreenMatch& m :
-         store_top_k(shards_[s], prefix_below(s, n), exclude,
+         store_top_k(shards_[s], prefix_below(globals_[s], n), exclude,
                      shards_[query_ref.shard], query_ref.local, k,
                      options_.int8_prefilter, ops)) {
       buckets[s].push_back({i, globals_[s][m.index], m.similarity});
@@ -336,12 +319,6 @@ std::vector<PairScore> ShardedCorpus::top_k(std::size_t i,
     merged.insert(merged.end(), bucket.begin(), bucket.end());
   }
   return merge_top_k(std::move(merged), k);
-}
-
-std::size_t ShardedCorpus::prefix_below(std::size_t s, std::size_t n) const {
-  std::size_t limit = shards_[s].size();
-  while (limit > 0 && globals_[s][limit - 1] >= n) --limit;
-  return limit;
 }
 
 void ShardedCorpus::fan_out(
@@ -535,7 +512,7 @@ void ShardedCorpus::save(const std::string& dir,
   os << "shards " << shards_.size() << '\n';
   os << "entries " << entries_.size() << '\n';
   os << "order";
-  for (const EntryRef& e : entries_) os << ' ' << e.shard;
+  for (const ShardRef& e : entries_) os << ' ' << e.shard;
   os << '\n';
   os << "end\n";
   if (!os) {
@@ -579,7 +556,7 @@ void ShardedCorpus::restore(const std::string& dir,
   // order, and the recorded shard must match what placement() derives
   // from the row's name — a poisoned or mixed-up snapshot fails loudly.
   std::vector<std::vector<std::size_t>> globals(manifest.shards);
-  std::vector<EntryRef> entries;
+  std::vector<ShardRef> entries;
   entries.reserve(manifest.order.size());
   for (std::size_t g = 0; g < manifest.order.size(); ++g) {
     const std::size_t s = manifest.order[g];
@@ -657,7 +634,9 @@ std::vector<PairScore> ShardedCorpus::flag(float delta) const {
   const StripeGuard stripes = lock_all_stripes_shared();
   const std::size_t shard_count = shards_.size();
   std::vector<std::size_t> limits(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) limits[s] = prefix_below(s, n);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    limits[s] = prefix_below(globals_[s], n);
+  }
   // One task per shard pair s ≤ t: store_flag within a shard, and shard
   // s's live rows screened against shard t > s across shards. Each task
   // fills only its own bucket; flag_order is total, so the sorted union

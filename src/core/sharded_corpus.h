@@ -56,6 +56,7 @@
 #include "core/corpus_backend.h"
 #include "core/cosine_kernels.h"
 #include "core/embedding_store.h"
+#include "core/shard_sweep.h"
 #include "tensor/matrix.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -105,10 +106,13 @@ class ShardedCorpus final : public CorpusBackend {
   [[nodiscard]] bool live(std::size_t i) const override;
   [[nodiscard]] std::size_t live_count() const override;
 
-  /// Compact every shard and renumber the global index space densely in
-  /// insertion order. Returns result[old_global] = new_global or
-  /// kNoIndex — the same contract as PairwiseScorer::compact(), and the
-  /// same mapping values for any shard count. Takes the global epoch:
+  /// Renumber the global index space densely in insertion order: each
+  /// shard retires its tombstones into holes (EmbeddingStore::retire —
+  /// the store is rewritten only once holes reach 1/8 of it), then one
+  /// pass over the global index fixes every index in place. Returns
+  /// result[old_global] = new_global or kNoIndex — the same contract as
+  /// PairwiseScorer::compact(), and the same mapping values for any shard
+  /// count. Takes the global epoch:
   /// every in-flight reader and admitter completes first, so no caller
   /// ever observes a half-remapped index space.
   std::vector<std::size_t> compact() override;
@@ -215,12 +219,6 @@ class ShardedCorpus final : public CorpusBackend {
       std::string_view expected_fingerprint) const override;
 
  private:
-  /// Where a global index lives: which shard, and which local row.
-  struct EntryRef {
-    std::size_t shard = 0;
-    std::size_t local = 0;
-  };
-
   /// RAII shared hold of *every* stripe, ascending shard id — the
   /// whole-corpus read lock of the scanning paths. A dynamic lock set
   /// is inexpressible in the capability analysis (hence the _unchecked
@@ -254,14 +252,9 @@ class ShardedCorpus final : public CorpusBackend {
   [[nodiscard]] StripeGuard lock_all_stripes_shared() const;
 
   /// row() without locks — callers hold the stripes they touch.
-  [[nodiscard]] std::span<const float> row_nolock(const EntryRef& e) const {
+  [[nodiscard]] std::span<const float> row_nolock(const ShardRef& e) const {
     return shards_[e.shard].row(e.local);
   }
-
-  /// How many of shard s's rows have a global index below `n`: rows
-  /// admitted after a snapshot of size n form a suffix of the shard
-  /// (globals_[s] is ascending). Callers hold stripe s.
-  [[nodiscard]] std::size_t prefix_below(std::size_t s, std::size_t n) const;
 
   ScorerOptions options_;
   std::size_t shard_budget_ = 0;
@@ -295,10 +288,11 @@ class ShardedCorpus final : public CorpusBackend {
   /// unannotated — the stripe ranks keep the runtime validator's
   /// coverage.
   std::vector<EmbeddingStore> shards_;
-  std::vector<EntryRef> entries_
+  std::vector<ShardRef> entries_
       GNN4IP_GUARDED_BY(index_mu_);  // global index -> (shard, local)
-  // Per shard: local index -> global index (appended under the shard's
-  // stripe, rebuilt by compact()). Stripe-guarded like shards_ (above).
+  // Per shard: local index -> global index, kNoIndex for a hole (appended
+  // under the shard's stripe, renumbered in place by compact()).
+  // Stripe-guarded like shards_ (above).
   std::vector<std::vector<std::size_t>> globals_;
 };
 

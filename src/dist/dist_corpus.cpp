@@ -1,7 +1,6 @@
 #include "dist/dist_corpus.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -146,7 +145,7 @@ DistCorpus::DistCorpus(std::shared_ptr<ChannelSet> channels,
       shared_(std::move(channels)) {
   util::MutexLock lock(shared_->mu);
   globals_.resize(shared_->channels.size());
-  shard_live_.assign(shared_->channels.size(), 0);
+  mirror_.resize(shared_->channels.size());
 }
 
 DistCorpus::~DistCorpus() {
@@ -173,18 +172,19 @@ void DistCorpus::buffer_flush_locked(Channel& ch) const {
 }
 
 std::size_t DistCorpus::admit_mirror_locked(std::string name,
-                                            std::span<const float> row) {
+                                            const tensor::Matrix& embedding) {
   const std::size_t s =
       core::ShardedCorpus::placement(name, globals_.size());
   const std::size_t g = entries_.size();
-  entries_.push_back({s, globals_[s].size()});
+  entries_.push_back({s, mirror_[s].add(std::move(name), embedding)});
   globals_[s].push_back(g);
-  rows_.insert(rows_.end(), row.begin(), row.end());
-  names_.push_back(std::move(name));
-  live_.push_back(1);
   ++live_count_;
-  ++shard_live_[s];
   return g;
+}
+
+std::span<const float> DistCorpus::row_locked(std::size_t g) const {
+  const core::ShardRef& e = entries_[g];
+  return mirror_[e.shard].row(e.local);
 }
 
 std::size_t DistCorpus::add(std::string name,
@@ -200,12 +200,13 @@ std::size_t DistCorpus::add(std::string name,
                   "DistCorpus: embedding dim " + std::to_string(flat.size()) +
                       " != corpus dim " + std::to_string(dim_));
   }
-  const std::size_t g = admit_mirror_locked(std::move(name), flat);
-  Channel& ch = shared_->channels[entries_[g].shard];
+  const std::size_t g = admit_mirror_locked(std::move(name), embedding);
+  const core::ShardRef& e = entries_[g];
+  Channel& ch = shared_->channels[e.shard];
   FrameBuilder b(ch.sendbuf, MsgType::kAdmitRows);
   b.put_u32(static_cast<std::uint32_t>(dim_));
   b.put_u32(1);
-  b.put_string(names_[g]);
+  b.put_string(mirror_[e.shard].name(e.local));
   b.put_bytes(flat.data(), flat.size() * sizeof(float));
   b.finish();
   buffer_flush_locked(ch);
@@ -216,11 +217,11 @@ void DistCorpus::remove(std::size_t i) {
   util::MutexLock lock(shared_->mu);
   check_reconciled_locked();
   GNN4IP_ENSURE(i < entries_.size(), "DistCorpus: remove out of range");
-  GNN4IP_ENSURE(live_[i] != 0, "DistCorpus: row already removed");
-  const EntryRef e = entries_[i];
-  live_[i] = 0;
+  const core::ShardRef e = entries_[i];
+  GNN4IP_ENSURE(mirror_[e.shard].live(e.local),
+                "DistCorpus: row already removed");
+  mirror_[e.shard].remove(e.local);
   --live_count_;
-  --shard_live_[e.shard];
   Channel& ch = shared_->channels[e.shard];
   FrameBuilder b(ch.sendbuf, MsgType::kRemove);
   b.put_u64(e.local);
@@ -231,55 +232,15 @@ void DistCorpus::remove(std::size_t i) {
 std::vector<std::size_t> DistCorpus::compact() {
   util::MutexLock lock(shared_->mu);
   check_reconciled_locked();
-  const std::size_t shard_count = globals_.size();
-  // Per-shard dense local renumbering from the mirror's liveness —
-  // exactly the mapping each server's EmbeddingStore::compact derives
-  // from its own tombstones, then the same global renumbering as
-  // ShardedCorpus::compact (insertion order, shard-count-invariant).
-  std::vector<std::vector<std::size_t>> local_maps(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    local_maps[s].assign(globals_[s].size(), kNoIndex);
-    std::size_t next = 0;
-    for (std::size_t local = 0; local < globals_[s].size(); ++local) {
-      if (live_[globals_[s][local]] != 0) local_maps[s][local] = next++;
-    }
-  }
-  std::vector<std::size_t> mapping(entries_.size(), kNoIndex);
-  std::vector<EntryRef> survivors;
-  survivors.reserve(live_count_);
-  std::vector<float> new_rows;
-  new_rows.reserve(live_count_ * dim_);
-  std::deque<std::string> new_names;
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    const EntryRef& e = entries_[g];
-    const std::size_t new_local = local_maps[e.shard][e.local];
-    if (new_local == kNoIndex) continue;
-    mapping[g] = survivors.size();
-    survivors.push_back({e.shard, new_local});
-    new_rows.insert(new_rows.end(),
-                    rows_.begin() + static_cast<std::ptrdiff_t>(g * dim_),
-                    rows_.begin() +
-                        static_cast<std::ptrdiff_t>((g + 1) * dim_));
-    new_names.push_back(std::move(names_[g]));
-  }
-  entries_ = std::move(survivors);
-  rows_ = std::move(new_rows);
-  names_ = std::move(new_names);
-  live_.assign(entries_.size(), 1);
+  // The renumbering ShardedCorpus::compact runs, on the mirror's stores;
+  // each server's Retire handler runs the same EmbeddingStore::retire on
+  // the same rows and tombstones, so it holds the same holes and reclaims
+  // to the same local rows.
+  std::vector<std::size_t> mapping =
+      core::retire_and_renumber(mirror_, entries_, globals_);
   live_count_ = entries_.size();
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    std::size_t kept = 0;
-    for (const std::size_t nl : local_maps[s]) kept += nl != kNoIndex ? 1 : 0;
-    globals_[s].assign(kept, kNoIndex);
-  }
-  for (std::size_t g = 0; g < entries_.size(); ++g) {
-    globals_[entries_[g].shard][entries_[g].local] = g;
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shard_live_[s] = globals_[s].size();
-  }
   for (Channel& ch : shared_->channels) {
-    FrameBuilder b(ch.sendbuf, MsgType::kCompact);
+    FrameBuilder b(ch.sendbuf, MsgType::kRetire);
     b.finish();
     buffer_flush_locked(ch);
   }
@@ -304,15 +265,15 @@ std::size_t DistCorpus::live_count() const {
 bool DistCorpus::live(std::size_t i) const {
   util::MutexLock lock(shared_->mu);
   GNN4IP_ENSURE(i < entries_.size(), "DistCorpus: index out of range");
-  return live_[i] != 0;
+  return mirror_[entries_[i].shard].live(entries_[i].local);
 }
 
 const std::string& DistCorpus::name(std::size_t i) const {
   util::MutexLock lock(shared_->mu);
   GNN4IP_ENSURE(i < entries_.size(), "DistCorpus: index out of range");
-  // Deque references are stable across admissions; compact() rebuilds
-  // the deque — the same invalidation contract as ShardedCorpus.
-  return names_[i];
+  // Valid until the next admission into that shard or compact() — the
+  // same invalidation contract as ShardedCorpus.
+  return mirror_[entries_[i].shard].name(entries_[i].local);
 }
 
 std::size_t DistCorpus::num_shards() const {
@@ -328,8 +289,8 @@ std::size_t DistCorpus::shard_of(std::size_t i) const {
 
 std::size_t DistCorpus::shard_live_count(std::size_t s) const {
   util::MutexLock lock(shared_->mu);
-  GNN4IP_ENSURE(s < shard_live_.size(), "DistCorpus: shard out of range");
-  return shard_live_[s];
+  GNN4IP_ENSURE(s < mirror_.size(), "DistCorpus: shard out of range");
+  return mirror_[s].live_count();
 }
 
 float DistCorpus::score(std::size_t i, std::size_t j) const {
@@ -339,9 +300,7 @@ float DistCorpus::score(std::size_t i, std::size_t j) const {
                 "DistCorpus: pair index out of range");
   // Single pairs score off the mirror — same bytes, same cosine_pair
   // arithmetic as in-process, and no round trip.
-  const std::span<const float> a(rows_.data() + i * dim_, dim_);
-  const std::span<const float> b(rows_.data() + j * dim_, dim_);
-  return core::cosine_pair(a, b);
+  return core::cosine_pair(row_locked(i), row_locked(j));
 }
 
 std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
@@ -355,19 +314,22 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
   const std::size_t d = dim_;
   const std::size_t shard_count = globals_.size();
   const std::size_t tail_bytes = new_rows * d * sizeof(float);
-  const float* probe_block = rows_.data() + first_new * d;
+  // The N×D probe slab, gathered once from the per-shard mirror.
+  std::vector<float> probe_block(new_rows * d);
+  for (std::size_t r = 0; r < new_rows; ++r) {
+    const std::span<const float> row = row_locked(first_new + r);
+    std::copy(row.begin(), row.end(), probe_block.begin() + r * d);
+  }
 
   // Pipelined fan-out: write every shard's request (header from the
-  // send buffer, the N×D probe slab as a writev tail straight out of
-  // the mirror — no copy), then read responses in shard order. The
-  // shard processes overlap their sweeps while we wait on the first.
+  // send buffer, the probe slab as a writev tail), then read responses
+  // in shard order. The shard processes overlap their sweeps while we
+  // wait on the first.
   std::vector<std::size_t> limits(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     // Candidates are this shard's rows admitted before first_new — an
     // ascending prefix of its local order.
-    limits[s] = static_cast<std::size_t>(
-        std::lower_bound(globals_[s].begin(), globals_[s].end(), first_new) -
-        globals_[s].begin());
+    limits[s] = core::prefix_below(globals_[s], first_new);
     Channel& ch = shared_->channels[s];
     flush_locked(ch);
     FrameBuilder b(ch.sendbuf, MsgType::kScreen);
@@ -378,7 +340,7 @@ std::vector<ScreenRow> DistCorpus::screen_new_rows(std::size_t first_new,
     b.put_u64(limits[s]);
     b.finish(tail_bytes);
     ch.sock.write_vectored({{ch.sendbuf.data(), ch.sendbuf.size()},
-                            {probe_block, tail_bytes}});
+                            {probe_block.data(), tail_bytes}});
     ch.sendbuf.clear();
   }
   // Each shard answers with its settled store-local rows; parse them
@@ -422,7 +384,9 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
   util::MutexLock lock(shared_->mu);
   check_reconciled_locked();
   GNN4IP_ENSURE(i < entries_.size(), "top_k: row index out of range");
-  GNN4IP_ENSURE(live_[i] != 0, "top_k: row has been removed");
+  const core::ShardRef query = entries_[i];
+  GNN4IP_ENSURE(mirror_[query.shard].live(query.local),
+                "top_k: row has been removed");
   const std::size_t d = dim_;
   const std::size_t shard_count = globals_.size();
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -432,9 +396,9 @@ std::vector<PairScore> DistCorpus::top_k(std::size_t i, std::size_t k) const {
     b.put_u32(static_cast<std::uint32_t>(d));
     b.put_u64(k);
     b.put_u64(globals_[s].size());
-    b.put_u64(entries_[i].shard == s ? entries_[i].local : kNoLocal);
+    b.put_u64(query.shard == s ? query.local : kNoLocal);
     b.put_u8(options_.int8_prefilter ? 1 : 0);
-    b.put_bytes(rows_.data() + i * d, d * sizeof(float));
+    b.put_bytes(row_locked(i).data(), d * sizeof(float));
     b.finish();
     flush_locked(ch);
   }
@@ -509,16 +473,16 @@ std::vector<PairScore> DistCorpus::flag(float delta) const {
   std::vector<float> scratch;
   std::vector<std::size_t> probe_globals;
   for (std::size_t s = 0; s + 1 < shard_count; ++s) {
+    const core::EmbeddingStore& store = mirror_[s];
     probe_globals.clear();
-    for (const std::size_t g : globals_[s]) {
-      if (live_[g] != 0) probe_globals.push_back(g);
+    scratch.clear();
+    for (std::size_t local = 0; local < store.size(); ++local) {
+      if (!store.live(local)) continue;
+      probe_globals.push_back(globals_[s][local]);
+      const std::span<const float> row = store.row(local);
+      scratch.insert(scratch.end(), row.begin(), row.end());
     }
     if (probe_globals.empty()) continue;
-    scratch.resize(probe_globals.size() * d);
-    for (std::size_t p = 0; p < probe_globals.size(); ++p) {
-      std::memcpy(scratch.data() + p * d,
-                  rows_.data() + probe_globals[p] * d, d * sizeof(float));
-    }
     const std::size_t tail_bytes = scratch.size() * sizeof(float);
     for (std::size_t t = s + 1; t < shard_count; ++t) {
       Channel& ch = shared_->channels[t];
@@ -589,12 +553,15 @@ void DistCorpus::save(const std::string& dir,
     const std::uint64_t rows = cur.get_u64("saved rows");
     const std::uint64_t live_rows = cur.get_u64("saved live rows");
     cur.done("SaveAck");
-    if (rows != globals_[s].size() || live_rows != shard_live_[s]) {
+    // A shard file holds every row but the holes.
+    const std::size_t want = mirror_[s].size() - mirror_[s].hole_count();
+    if (rows != want || live_rows != mirror_[s].live_count()) {
       throw net::WireProtocolError(
           "shard " + std::to_string(s) + " saved " + std::to_string(rows) +
           " rows (" + std::to_string(live_rows) + " live) but the front end "
-          "expected " + std::to_string(globals_[s].size()) + " (" +
-          std::to_string(shard_live_[s]) + " live) — state has drifted");
+          "expected " + std::to_string(want) + " (" +
+          std::to_string(mirror_[s].live_count()) +
+          " live) — state has drifted");
     }
   }
   // The manifest comes from the mirror — the same lines, in the same
@@ -613,7 +580,7 @@ void DistCorpus::save(const std::string& dir,
   os << "shards " << shard_count << '\n';
   os << "entries " << entries_.size() << '\n';
   os << "order";
-  for (const EntryRef& e : entries_) os << ' ' << e.shard;
+  for (const core::ShardRef& e : entries_) os << ' ' << e.shard;
   os << '\n';
   os << "end\n";
   if (!os) {
@@ -637,14 +604,16 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
   util::MutexLock lock(shared_->mu);
   const std::size_t shard_count = shared_->channels.size();
   fresh->dim_ = probe.dim();
+  tensor::Matrix row(1, fresh->dim_);
   for (std::size_t g = 0; g < probe.size(); ++g) {
-    const std::size_t mg =
-        fresh->admit_mirror_locked(probe.name(g), probe.row(g));
+    const std::span<const float> values = probe.row(g);
+    std::copy(values.begin(), values.end(), row.data().begin());
+    const std::size_t mg = fresh->admit_mirror_locked(probe.name(g), row);
     GNN4IP_ENSURE(mg == g, "DistCorpus: restore renumbered a global id");
     if (!probe.live(g)) {
-      fresh->live_[g] = 0;
+      const core::ShardRef& e = fresh->entries_[g];
+      fresh->mirror_[e.shard].remove(e.local);
       --fresh->live_count_;
-      --fresh->shard_live_[fresh->entries_[g].shard];
     }
   }
 
@@ -653,7 +622,9 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
   // the mirror's. The operator contract (docs/ARCHITECTURE.md) is that
   // matching servers were started with --load-shard on THIS snapshot's
   // shard files; the tally check catches the honest mistakes (wrong
-  // file, wrong order, stale snapshot), not a malicious server.
+  // file, wrong order, stale snapshot), not a malicious server. A
+  // server's row count includes its holes and a shard file holds none,
+  // so a server with holes is re-pushed.
   bool adopt = probe.num_shards() == shard_count;
   std::vector<std::uint8_t> buf;
   if (adopt) {
@@ -672,8 +643,8 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
       const std::uint64_t rows = cur.get_u64("shard rows");
       const std::uint64_t live_rows = cur.get_u64("shard live rows");
       cur.done("InfoAck");
-      adopt = adopt && rows == fresh->globals_[s].size() &&
-              live_rows == fresh->shard_live_[s] &&
+      adopt = adopt && rows == fresh->mirror_[s].size() &&
+              live_rows == fresh->mirror_[s].live_count() &&
               (rows == 0 || sdim == fresh->dim_);
     }
   }
@@ -686,23 +657,22 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
       FrameBuilder b(ch.sendbuf, MsgType::kReset);
       b.finish();
     }
-    for (std::size_t g = 0; g < fresh->entries_.size(); ++g) {
-      const EntryRef& e = fresh->entries_[g];
+    for (const core::ShardRef& e : fresh->entries_) {
+      const core::EmbeddingStore& store = fresh->mirror_[e.shard];
       Channel& ch = shared_->channels[e.shard];
       FrameBuilder b(ch.sendbuf, MsgType::kAdmitRows);
       b.put_u32(static_cast<std::uint32_t>(fresh->dim_));
       b.put_u32(1);
-      b.put_string(fresh->names_[g]);
-      b.put_bytes(fresh->rows_.data() + g * fresh->dim_,
-                  fresh->dim_ * sizeof(float));
+      b.put_string(store.name(e.local));
+      b.put_bytes(store.row(e.local).data(), fresh->dim_ * sizeof(float));
       b.finish();
       buffer_flush_locked(ch);
     }
-    for (std::size_t g = 0; g < fresh->entries_.size(); ++g) {
-      if (fresh->live_[g] != 0) continue;
-      Channel& ch = shared_->channels[fresh->entries_[g].shard];
+    for (const core::ShardRef& e : fresh->entries_) {
+      if (fresh->mirror_[e.shard].live(e.local)) continue;
+      Channel& ch = shared_->channels[e.shard];
       FrameBuilder b(ch.sendbuf, MsgType::kRemove);
-      b.put_u64(fresh->entries_[g].local);
+      b.put_u64(e.local);
       b.finish();
       buffer_flush_locked(ch);
     }
@@ -720,14 +690,14 @@ std::unique_ptr<core::CorpusBackend> DistCorpus::restored(
       const std::uint64_t rows = cur.get_u64("shard rows");
       const std::uint64_t live_rows = cur.get_u64("shard live rows");
       cur.done("InfoAck");
-      if (rows != fresh->globals_[s].size() ||
-          live_rows != fresh->shard_live_[s]) {
+      if (rows != fresh->mirror_[s].size() ||
+          live_rows != fresh->mirror_[s].live_count()) {
         throw net::WireProtocolError(
             "shard " + std::to_string(s) + " holds " + std::to_string(rows) +
             " rows (" + std::to_string(live_rows) +
             " live) after the restore push; the mirror expects " +
-            std::to_string(fresh->globals_[s].size()) + " (" +
-            std::to_string(fresh->shard_live_[s]) + " live)");
+            std::to_string(fresh->mirror_[s].size()) + " (" +
+            std::to_string(fresh->mirror_[s].live_count()) + " live)");
       }
     }
   }

@@ -2,8 +2,9 @@
 // processes behind one global index.
 //
 // The front end keeps the authoritative global index space as a local
-// MIRROR — entries (shard, local), names, the float rows themselves,
-// and liveness — and uses ShardedCorpus::placement() as the partition
+// MIRROR — entries (shard, local) and one EmbeddingStore per shard,
+// holding in local order the rows, names and tombstones the shard
+// server holds — and uses ShardedCorpus::placement() as the partition
 // map, so a design lands on the same shard id whether the corpus is
 // in-process or distributed. Shard servers hold the same rows and run
 // the same per-shard sweep arithmetic (dist::ShardServer); every float
@@ -13,14 +14,21 @@
 // verdicts are bit-identical to the in-process path for any shard-
 // process count — the dist test suite asserts this cell by cell.
 //
+// compact() runs core::retire_and_renumber on the mirror — the same
+// helper ShardedCorpus::compact runs on its shards — and sends each
+// server a Retire frame, whose handler calls the same
+// EmbeddingStore::retire on the server's store: tombstones become holes
+// on both sides, and the local renumbering of a reclaim (holes at 1/8
+// of a store) is the one both derive, by construction.
+//
 // Perf shape (Galois NetworkInterfaceBuffered):
-//   * one-way mutations (AdmitRows/Remove/Compact) append frames to a
+//   * one-way mutations (AdmitRows/Remove/Retire) append frames to a
 //     per-connection send buffer, flushed when it crosses
 //     kFlushThresholdBytes or at the latest before the next request on
 //     that connection — many small admissions ride one send(2);
 //   * bulk probe blocks (Screen's N×D new-rows slab, CrossFlag's
-//     gathered rows) go out as a writev tail straight from the mirror,
-//     never copied into the buffer;
+//     live rows), gathered once from the mirror, go out as a writev
+//     tail, never copied into the send buffer;
 //   * fan-out requests are pipelined: every shard's request is written
 //     before any response is read, so shard processes compute
 //     concurrently (at most one in-flight request per connection, which
@@ -38,7 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -48,6 +55,8 @@
 
 #include "core/corpus_backend.h"
 #include "core/cosine_kernels.h"
+#include "core/embedding_store.h"
+#include "core/shard_sweep.h"
 #include "net/socket.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -153,11 +162,6 @@ class DistCorpus final : public core::CorpusBackend {
     std::vector<Channel> channels;
   };
 
-  struct EntryRef {
-    std::size_t shard = 0;
-    std::size_t local = 0;
-  };
-
   DistCorpus(std::shared_ptr<ChannelSet> channels,
              const core::ScorerOptions& options, std::size_t shard_budget,
              std::string fingerprint);
@@ -172,7 +176,10 @@ class DistCorpus final : public core::CorpusBackend {
   void check_reconciled_locked() const;
   /// Mirror-side admit: updates every mirror structure, returns the
   /// global id. The caller sends the matching AdmitRows frame.
-  std::size_t admit_mirror_locked(std::string name, std::span<const float> row);
+  std::size_t admit_mirror_locked(std::string name,
+                                  const tensor::Matrix& embedding);
+  /// The mirror's row behind a global index.
+  [[nodiscard]] std::span<const float> row_locked(std::size_t g) const;
 
   core::ScorerOptions options_;
   std::size_t shard_budget_ = 0;
@@ -193,17 +200,12 @@ class DistCorpus final : public core::CorpusBackend {
   bool unreconciled_ = false;
   std::size_t dim_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<EntryRef> entries_;
-  /// Per shard: local index -> global index, ascending.
+  std::vector<core::ShardRef> entries_;
+  /// Per shard: local index -> global index (kNoIndex for a hole).
   std::vector<std::vector<std::size_t>> globals_;
-  /// Row-major size()×dim() float mirror — probe source for every
-  /// request, and the bytes score() reads.
-  std::vector<float> rows_;
-  /// Names in a deque: name(i) hands out references that stay valid
-  /// across admissions (invalidated only by compact, like ShardedCorpus).
-  std::deque<std::string> names_;
-  std::vector<char> live_;
-  std::vector<std::size_t> shard_live_;
+  /// Per shard, in local order: what that shard server's store holds —
+  /// probe source for every request, and the bytes score() reads.
+  std::vector<core::EmbeddingStore> mirror_;
 
   /// Worker resolution for fan_out — same lazy-pool shape as
   /// ShardedCorpus (the audit layer's batch fan-outs ride it).

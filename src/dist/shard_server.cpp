@@ -242,6 +242,14 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
       return true;
     }
 
+    case MsgType::kRetire: {
+      cur.done("Retire");
+      // The front end runs the same retire() on its mirror of this
+      // store, so both number the surviving rows alike.
+      (void)store_.retire();
+      return true;
+    }
+
     case MsgType::kReset: {
       cur.done("Reset");
       store_ = EmbeddingStore();
@@ -394,11 +402,14 @@ bool ShardServer::dispatch(net::Socket& socket, std::uint8_t type,
                                     "' for writing");
       }
       store_.save(os);
+      // Close before acknowledging: the front end may read the file as
+      // soon as the ack arrives, and a write error can surface at flush.
+      os.close();
       if (!os) {
         throw core::SnapshotIoError("short write to '" + path.string() + "'");
       }
       FrameBuilder b(out, MsgType::kSaveAck);
-      b.put_u64(store_.size());
+      b.put_u64(store_.size() - store_.hole_count());  // rows in the file
       b.put_u64(store_.live_count());
       b.finish();
       socket.write_all(out.data(), out.size());

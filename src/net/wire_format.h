@@ -72,6 +72,7 @@ enum class MsgType : std::uint8_t {
   kCrossFlag = 9,  // probe block × this shard's rows above delta
   kSaveShard = 10, // write this store as shard file s into a directory
   kInfo = 11,      // dim / row count / live count probe
+  kRetire = 12,    // one-way: tombstones become holes; reclaim at 1/8
   // server → client
   kHelloAck = 32,
   kScreenResult = 33,

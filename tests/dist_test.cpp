@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -24,6 +26,7 @@
 #include "core/gnn4ip.h"
 #include "core/shard_sweep.h"
 #include "core/sharded_corpus.h"
+#include "core/snapshot_format.h"
 #include "data/corpus.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
@@ -349,6 +352,120 @@ TEST(DistCorpus, ScreenTopKFlagBitIdenticalToInProcess) {
         }
       }
     }
+  }
+}
+
+TEST(DistCorpus, HolesAndReclaimMatchInProcessThroughChurn) {
+  // Evict/compact churn on {1, 2, 3} servers that leaves holes and
+  // crosses the 1/8 reclaim: the mirror and every server retire alike,
+  // so each compact() mapping, screen (tallies included), top_k, flag and
+  // snapshot byte equals the in-process corpus with the same shard count.
+  // Then a new front end restores that snapshot onto the servers, which
+  // still hold holes: it must re-push, not adopt.
+  gnn::Hw2Vec model;
+  const auto entries = small_corpus();
+  const auto embeddings = embed_all(model, entries);
+  const auto file_bytes = [](const std::filesystem::path& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    const std::string label = std::to_string(shards) + " servers";
+    core::ScorerOptions options;
+    options.int8_prefilter = true;
+    core::ShardedCorpus reference(shards, options);
+    Cluster cluster(shards);
+    auto corpus = dist::DistCorpus::connect(cluster.endpoints(), "fp", options);
+    std::size_t admitted = 0;
+    const auto admit = [&] {
+      const std::size_t e = admitted % entries.size();
+      const std::string name =
+          entries[e].name + "#" + std::to_string(admitted++);
+      ASSERT_EQ(corpus->add(name, embeddings[e]),
+                reference.add(name, embeddings[e]));
+    };
+    std::size_t cursor = 3;
+    const auto evict = [&] {
+      for (std::size_t tries = 0; tries < reference.size(); ++tries) {
+        cursor = (cursor + 7) % reference.size();
+        if (!reference.live(cursor)) continue;
+        corpus->remove(cursor);
+        reference.remove(cursor);
+        return;
+      }
+    };
+    for (std::size_t i = 0; i < 36; ++i) admit();
+    bool kept_holes = false;
+    bool reclaimed = false;
+    for (std::size_t round = 0; round < 16; ++round) {
+      const std::string at = label + " round " + std::to_string(round);
+      std::vector<std::size_t> holes_before(shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        holes_before[s] = reference.shard(s).hole_count();
+      }
+      const std::size_t evictions = round % 5 == 4 ? 8 : 1;
+      for (std::size_t e = 0; e < evictions; ++e) evict();
+      admit();
+      EXPECT_EQ(corpus->compact(), reference.compact()) << at;
+      for (std::size_t s = 0; s < shards; ++s) {
+        const std::size_t holes = reference.shard(s).hole_count();
+        kept_holes = kept_holes || holes > 0;
+        reclaimed = reclaimed || (holes_before[s] > 0 && holes == 0);
+        EXPECT_EQ(corpus->shard_live_count(s), reference.shard_live_count(s))
+            << at;
+      }
+      admit();
+      admit();
+      evict();
+      const std::size_t first_new = reference.size() - 3;
+      expect_rows_equal(corpus->screen_new_rows(first_new, 0.5F),
+                        reference.screen_new_rows(first_new, 0.5F), at);
+      for (std::size_t q = 0; q < reference.size(); q += 5) {
+        if (!reference.live(q)) continue;
+        expect_pairs_equal(corpus->top_k(q, 3), reference.top_k(q, 3),
+                           at + " q=" + std::to_string(q));
+      }
+      expect_pairs_equal(corpus->flag(0.5F), reference.flag(0.5F), at);
+    }
+    EXPECT_TRUE(kept_holes) << label;
+    EXPECT_TRUE(reclaimed) << label;
+
+    // Leave holes on the servers, then snapshot both ways and diff.
+    evict();
+    admit();
+    EXPECT_EQ(corpus->compact(), reference.compact()) << label;
+    evict();
+    std::size_t holes = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      holes += reference.shard(s).hole_count();
+    }
+    ASSERT_GT(holes, 0u) << label;
+    const std::string dist_dir = snapshot_dir("churn_dist");
+    const std::string local_dir = snapshot_dir("churn_local");
+    corpus->save(dist_dir, "fp");
+    reference.save(local_dir, "fp");
+    EXPECT_EQ(file_bytes(std::filesystem::path(dist_dir) /
+                         core::kManifestFileName),
+              file_bytes(std::filesystem::path(local_dir) /
+                         core::kManifestFileName))
+        << label;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::string file = core::shard_file_name(s);
+      EXPECT_EQ(file_bytes(std::filesystem::path(dist_dir) / file),
+                file_bytes(std::filesystem::path(local_dir) / file))
+          << label << " shard " << s;
+    }
+    corpus.reset();
+    auto raw = dist::DistCorpus::connect(cluster.endpoints(), "fp", options, 0,
+                                         /*allow_resident=*/true);
+    auto restored = raw->restored(dist_dir, "fp");
+    ASSERT_EQ(restored->size(), reference.size()) << label;
+    expect_pairs_equal(restored->flag(0.5F), reference.flag(0.5F),
+                       label + " (restored)");
+    expect_rows_equal(restored->screen_new_rows(reference.size() - 3, 0.5F),
+                      reference.screen_new_rows(reference.size() - 3, 0.5F),
+                      label + " (restored)");
   }
 }
 

@@ -457,6 +457,38 @@ TEST(QuantPrefilter, ScreenBitIdenticalToExactSweepOn10kRows) {
   EXPECT_LT(total_rescored, total_scanned / 4);
 }
 
+TEST(QuantPrefilter, SettleBestRescoresAnEqualBoundAtALowerIndex) {
+  // A hand-built best band: rows 0-2 are one embedding, so their exact
+  // similarities equal the running best's (row 1). A pruned candidate
+  // whose bound equals that similarity can still tie it exactly, and at
+  // a lower index it would win the tie-break, so it must be rescored;
+  // at a higher index it cannot win and is skipped, and a bound below
+  // the best ends the walk.
+  const std::vector<float> twin = {0.25F, -1.0F, 0.5F, 2.0F};
+  const std::vector<float> far = {-1.0F, 0.5F, 0.0F, 0.0F};
+  const std::vector<float> query = {1.0F, 0.5F, -0.25F, 1.5F};
+  EmbeddingStore store;
+  for (std::size_t i = 0; i < 3; ++i) {
+    (void)store.add("twin" + std::to_string(i), row_matrix(twin));
+  }
+  (void)store.add("far", row_matrix(far));
+  EmbeddingStore probes;
+  (void)probes.add("probe", row_matrix(query));
+  const ScreenProbe probe = screen_probe(probes, 0);
+  const float sim = cosine_cell(probe.row, store.row(1).data(), store.dim(),
+                                probe.norm * store.norm(1));
+
+  ScreenRow row;
+  row.best = ScreenMatch{1, sim};
+  std::vector<detail::BandCandidate> band = {
+      {2, sim}, {3, sim - 0.5F}, {0, sim}};
+  detail::settle_best(band, probe, store, row);
+  ASSERT_TRUE(row.best.has_value());
+  EXPECT_EQ(row.best->index, 0u);
+  EXPECT_EQ(row.best->similarity, sim);
+  EXPECT_EQ(row.rescored, 1u);  // row 0 only
+}
+
 TEST(QuantPrefilter, TopKBitIdenticalToExhaustiveScan) {
   constexpr std::size_t kRows = 2'000;
   constexpr std::size_t kDim = 16;

@@ -8,6 +8,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "core/gnn4ip.h"
 #include "core/pairwise_scorer.h"
 #include "core/sharded_corpus.h"
+#include "core/snapshot_format.h"
 #include "data/corpus.h"
 #include "util/contract.h"
 
@@ -286,6 +291,189 @@ TEST(ShardedCorpus, CompactRenumbersDenselyInInsertionOrderPerShard) {
   // And scoring still works against the compacted numbering.
   EXPECT_EQ(corpus.score(0, 1),
             cosine_pair(embeddings[1].data(), embeddings[2].data()));
+}
+
+/// Everything a caller can see of `corpus` — names, liveness, placement,
+/// score_new_rows, screen_new_rows, top_k and flag — against `ref`, which
+/// holds the same rows and compacts eagerly.
+void expect_same_as_eager(const ShardedCorpus& corpus,
+                          const PairwiseScorer& ref, float delta,
+                          const std::string& label) {
+  ASSERT_EQ(corpus.size(), ref.size()) << label;
+  ASSERT_EQ(corpus.live_count(), ref.live_count()) << label;
+  for (std::size_t g = 0; g < ref.size(); ++g) {
+    EXPECT_EQ(corpus.name(g), ref.name(g)) << label << " g=" << g;
+    EXPECT_EQ(corpus.live(g), ref.live(g)) << label << " g=" << g;
+    EXPECT_EQ(corpus.shard_of(g),
+              ShardedCorpus::placement(ref.name(g), corpus.num_shards()))
+        << label << " g=" << g;
+  }
+  const std::size_t first_new = ref.size() - 3;
+  const tensor::Matrix want = ref.score_new_rows(first_new);
+  const tensor::Matrix got = corpus.score_new_rows(first_new);
+  ASSERT_EQ(got.rows(), want.rows()) << label;
+  ASSERT_EQ(got.cols(), want.cols()) << label;
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    for (std::size_t c = 0; c < want.cols(); ++c) {
+      EXPECT_EQ(got.at(r, c), want.at(r, c)) << label << " cell " << r << ","
+                                             << c;
+    }
+  }
+  // The screen is the exhaustive walk of the same cells: flags ascending,
+  // best the first maximum, over live rows admitted before first_new.
+  const std::vector<ScreenRow> screened =
+      corpus.screen_new_rows(first_new, delta);
+  ASSERT_EQ(screened.size(), want.rows()) << label;
+  for (std::size_t r = 0; r < want.rows(); ++r) {
+    std::vector<ScreenMatch> flags;
+    std::optional<ScreenMatch> best;
+    std::size_t scanned = 0;
+    for (std::size_t c = 0; c < first_new; ++c) {
+      if (!ref.live(c)) continue;
+      ++scanned;
+      const float sim = want.at(r, c);
+      if (sim > delta) flags.push_back({c, sim});
+      if (!best || sim > best->similarity) best = ScreenMatch{c, sim};
+    }
+    const ScreenRow& row = screened[r];
+    EXPECT_EQ(row.scanned, scanned) << label << " row " << r;
+    ASSERT_EQ(row.flagged.size(), flags.size()) << label << " row " << r;
+    for (std::size_t f = 0; f < flags.size(); ++f) {
+      EXPECT_EQ(row.flagged[f].index, flags[f].index) << label << " row " << r;
+      EXPECT_EQ(row.flagged[f].similarity, flags[f].similarity)
+          << label << " row " << r;
+    }
+    ASSERT_EQ(row.best.has_value(), best.has_value()) << label << " row " << r;
+    if (best) {
+      EXPECT_EQ(row.best->index, best->index) << label << " row " << r;
+      EXPECT_EQ(row.best->similarity, best->similarity)
+          << label << " row " << r;
+    }
+  }
+  for (std::size_t q = 0; q < ref.size(); ++q) {
+    if (!ref.live(q)) continue;
+    const std::vector<PairScore> want_top = ref.top_k(q, 4);
+    const std::vector<PairScore> got_top = corpus.top_k(q, 4);
+    ASSERT_EQ(got_top.size(), want_top.size()) << label << " q=" << q;
+    for (std::size_t i = 0; i < want_top.size(); ++i) {
+      EXPECT_EQ(got_top[i].b, want_top[i].b) << label << " q=" << q;
+      EXPECT_EQ(got_top[i].similarity, want_top[i].similarity)
+          << label << " q=" << q;
+    }
+  }
+  const std::vector<PairScore> want_flag = ref.flag(delta);
+  const std::vector<PairScore> got_flag = corpus.flag(delta);
+  ASSERT_EQ(got_flag.size(), want_flag.size()) << label;
+  for (std::size_t i = 0; i < want_flag.size(); ++i) {
+    EXPECT_EQ(got_flag[i].a, want_flag[i].a) << label << " #" << i;
+    EXPECT_EQ(got_flag[i].b, want_flag[i].b) << label << " #" << i;
+    EXPECT_EQ(got_flag[i].similarity, want_flag[i].similarity)
+        << label << " #" << i;
+  }
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(ShardedCorpus, HolesAndReclaimMatchEagerCompactionThroughChurn) {
+  // Evict/compact churn on {1, 2, 4} shards, prefilter off and on: most
+  // compactions leave holes behind, and bursts of evictions push stores
+  // past the 1/8 reclaim. After every compact() the corpus must be what
+  // an eagerly compacting PairwiseScorer is, and — with holes and pending
+  // tombstones — save the files an eagerly compacted twin saves.
+  gnn::Hw2Vec model;
+  const auto entries = small_corpus();
+  const auto embeddings = embed_all(model, entries);
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "gnn4ip_sharding_test";
+  constexpr float kDelta = 0.5F;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    for (const bool prefilter : {false, true}) {
+      const std::string label = std::to_string(shards) + " shards, prefilter " +
+                                (prefilter ? "on" : "off");
+      ScorerOptions options;
+      options.int8_prefilter = prefilter;
+      ShardedCorpus corpus(shards, options);
+      PairwiseScorer ref(options);
+      std::size_t admitted = 0;
+      const auto admit = [&] {
+        const std::size_t e = admitted % entries.size();
+        const std::string name =
+            entries[e].name + "#" + std::to_string(admitted++);
+        ASSERT_EQ(corpus.add(name, embeddings[e]),
+                  ref.add(name, embeddings[e]));
+      };
+      std::size_t cursor = 7;  // a deterministic walk over live rows
+      const auto evict = [&] {
+        for (std::size_t tries = 0; tries < ref.size(); ++tries) {
+          cursor = (cursor + 5) % ref.size();
+          if (!ref.live(cursor)) continue;
+          corpus.remove(cursor);
+          ref.remove(cursor);
+          return;
+        }
+      };
+      for (std::size_t i = 0; i < 48; ++i) admit();
+      bool kept_holes = false;
+      bool reclaimed = false;
+      for (std::size_t round = 0; round < 24; ++round) {
+        std::vector<std::size_t> holes_before(shards);
+        for (std::size_t s = 0; s < shards; ++s) {
+          holes_before[s] = corpus.shard(s).hole_count();
+        }
+        const std::size_t evictions = round % 6 == 5 ? 9 : 1;
+        for (std::size_t e = 0; e < evictions; ++e) evict();
+        admit();
+        const std::vector<std::size_t> mapping = corpus.compact();
+        EXPECT_EQ(mapping, ref.compact()) << label << " round " << round;
+        for (std::size_t s = 0; s < shards; ++s) {
+          const std::size_t holes = corpus.shard(s).hole_count();
+          kept_holes = kept_holes || holes > 0;
+          reclaimed = reclaimed || (holes_before[s] > 0 && holes == 0);
+        }
+        // New rows to screen, and a pending tombstone beside the holes.
+        admit();
+        admit();
+        evict();
+        const std::string at = label + " round " + std::to_string(round);
+        expect_same_as_eager(corpus, ref, kDelta, at);
+
+        // Snapshot bytes: the store with holes writes what a corpus built
+        // straight from the eager state writes.
+        ShardedCorpus eager(shards, options);
+        for (std::size_t g = 0; g < ref.size(); ++g) {
+          tensor::Matrix row(1, ref.dim());
+          const std::span<const float> values = ref.row(g);
+          std::copy(values.begin(), values.end(), row.data().begin());
+          (void)eager.add(ref.name(g), row);
+        }
+        for (std::size_t g = 0; g < ref.size(); ++g) {
+          if (!ref.live(g)) eager.remove(g);
+        }
+        const std::filesystem::path holey_dir = root / "holey";
+        const std::filesystem::path eager_dir = root / "eager";
+        std::filesystem::remove_all(root);
+        corpus.save(holey_dir.string(), "fp");
+        eager.save(eager_dir.string(), "fp");
+        EXPECT_EQ(file_bytes(holey_dir / kManifestFileName),
+                  file_bytes(eager_dir / kManifestFileName))
+            << at;
+        for (std::size_t s = 0; s < shards; ++s) {
+          EXPECT_EQ(file_bytes(holey_dir / shard_file_name(s)),
+                    file_bytes(eager_dir / shard_file_name(s)))
+              << at << " shard " << s;
+        }
+        ShardedCorpus restored(1, options);
+        restored.restore(holey_dir.string(), "fp");
+        expect_same_as_eager(restored, ref, kDelta, at + " (restored)");
+      }
+      EXPECT_TRUE(kept_holes) << label;
+      EXPECT_TRUE(reclaimed) << label;
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(ShardedCorpus, RejectsMismatchedDimsAndBadIndices) {

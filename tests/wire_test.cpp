@@ -13,14 +13,17 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
 #include "net/socket.h"
 #include "net/wire_format.h"
+#include "tensor/matrix.h"
 
 namespace gnn4ip {
 namespace {
@@ -286,6 +289,67 @@ TEST(WireStream, UnknownFrameTypeAfterHandshakeIsTyped) {
   sock.write_all(buf.data(), buf.size());
   EXPECT_THROW((void)net::expect_frame(sock, MsgType::kInfoAck),
                net::WireProtocolError);
+}
+
+TEST(WireStream, RetireWithAPayloadIsTyped) {
+  LiveServer live;
+  net::Socket sock = live.connect();
+  handshake(sock);
+  std::vector<std::uint8_t> buf;
+  FrameBuilder b(buf, MsgType::kRetire);  // Retire carries no fields
+  b.put_u64(1);
+  b.finish();
+  sock.write_all(buf.data(), buf.size());
+  EXPECT_THROW((void)net::expect_frame(sock, MsgType::kInfoAck),
+               net::WireProtocolError);
+}
+
+TEST(WireStream, RetireToAServerThatPredatesItIsTyped) {
+  // A shard server from before Retire existed: it takes the one-way
+  // frames of its protocol (types 2-5) silently and answers any type it
+  // does not know as its dispatcher did — a typed protocol error, then
+  // hang up. A front end's compact() must surface that, not leave the
+  // server numbering its rows differently.
+  net::TcpListener listener(0);
+  std::thread old_server([&listener] {
+    std::optional<net::Socket> conn = listener.accept(2000);
+    if (!conn) return;
+    conn->set_recv_timeout(2000);
+    try {
+      (void)net::read_frame(*conn);  // Hello
+      std::vector<std::uint8_t> out;
+      FrameBuilder ack(out, MsgType::kHelloAck);
+      ack.put_u32(0);
+      ack.put_u64(0);
+      ack.put_u64(0);
+      ack.put_string("");
+      ack.finish();
+      conn->write_all(out.data(), out.size());
+      for (;;) {
+        const net::Frame frame = net::read_frame(*conn);
+        const auto type = static_cast<unsigned>(frame.type);
+        if (type >= 2 && type <= 5) continue;
+        out.clear();
+        net::build_error_frame(
+            out, net::WireErrorCode::kProtocol,
+            "unknown or misdirected frame type " + std::to_string(type));
+        conn->write_all(out.data(), out.size());
+        return;
+      }
+    } catch (const net::WireError&) {
+    }
+  });
+  {
+    auto corpus =
+        dist::DistCorpus::connect({{"127.0.0.1", listener.port()}}, "");
+    const tensor::Matrix row(1, 4, 0.5F);
+    (void)corpus->add("a", row);
+    (void)corpus->add("b", row);
+    corpus->remove(0);
+    (void)corpus->compact();  // buffers the Retire frame
+    EXPECT_THROW((void)corpus->flag(0.5F), net::WireProtocolError);
+  }
+  old_server.join();
 }
 
 TEST(WireStream, TruncatedRequestGetsTypedErrorNotHang) {
