@@ -56,7 +56,8 @@ struct TrainSetup {
   std::size_t batch_graphs = 32;
   /// The paper trains batch gradient descent at 1e-3; with Adam on the
   /// smaller synthetic corpus 3e-3 reaches the paper's accuracy band
-  /// (EXPERIMENTS.md records the sweep).
+  /// (Table I in ROADMAP.md); the learning-rate sweep behind the value
+  /// is not recorded.
   float learning_rate = 3e-3F;
   /// Negative:positive pair ratio, matching the paper's corpus
   /// construction (66631 different / 19094 similar ≈ 3.49).
@@ -65,8 +66,8 @@ struct TrainSetup {
   gnn::Hw2VecConfig model;      // paper §IV defaults
 
   TrainSetup() {
-    // Weight-init seed chosen by a small stability scan (see
-    // EXPERIMENTS.md); benches share it so results are reproducible.
+    // Weight-init seed chosen by a small stability scan, which is not
+    // recorded; benches share it so results are reproducible.
     model.seed = 5;
   }
 };

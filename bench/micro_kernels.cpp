@@ -113,6 +113,17 @@ void BM_Hw2VecEmbedMedium(benchmark::State& state) {
 }
 BENCHMARK(BM_Hw2VecEmbedMedium);
 
+// The audit path's front-end GNN cost for one new design: featurize the
+// DFG, then embed the fresh tensors, every iteration.
+void BM_FeaturizeEmbedMedium(benchmark::State& state) {
+  const graph::Digraph g = dfg::extract_dfg(medium_rtl());
+  gnn::Hw2Vec model;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.embed_inference(gnn::featurize(g)));
+  }
+}
+BENCHMARK(BM_FeaturizeEmbedMedium);
+
 void BM_Hw2VecTrainStep(benchmark::State& state) {
   const gnn::GraphTensors t = gnn::featurize(dfg::extract_dfg(medium_rtl()));
   gnn::Hw2Vec model;
@@ -210,29 +221,6 @@ BENCHMARK(BM_EmbedCorpus)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// Cold-cache variant of the single-thread corpus embed: the pooled
-// adjacency memo is reset every iteration, so this is the cost of a
-// one-shot audit of a never-seen corpus (BM_EmbedCorpus above reports
-// the warm steady state of a resident corpus).
-void BM_EmbedCorpusCold(benchmark::State& state) {
-  std::vector<train::GraphEntry> entries = scoring_corpus();  // own copy
-  gnn::Hw2Vec model;
-  core::ScorerOptions options;
-  options.num_threads = 1;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (train::GraphEntry& e : entries) {
-      e.tensors.pooled_cache = std::make_shared<gnn::PooledAdjCache>();
-    }
-    state.ResumeTiming();
-    const core::PairwiseScorer scorer =
-        core::PairwiseScorer::from_entries(model, entries, options);
-    benchmark::DoNotOptimize(scorer.size());
-  }
-  state.counters["designs"] = static_cast<double>(entries.size());
-}
-BENCHMARK(BM_EmbedCorpusCold)->Unit(benchmark::kMillisecond);
 
 void BM_PairwiseScoreNaivePerPair(benchmark::State& state) {
   const std::vector<train::GraphEntry>& entries = scoring_corpus();

@@ -57,6 +57,13 @@ break them:
                   one copy; a second sweep elsewhere would have to be
                   kept bit-identical by testing alone.
 
+  tape-in-serving tensor::Tape, or an include of tensor/tape.h, in
+                  src/audit, src/core, src/dist or src/net. Serving
+                  embeds through Hw2Vec::embed_inference, which runs the
+                  forward pass with no autograd tape; a tape there would
+                  bring back per-call parameter copies and closures the
+                  verdict never reads.
+
 Findings are suppressed by a waiver on the offending line or the line
 directly above it, with a mandatory reason:
 
@@ -104,6 +111,8 @@ PREFILTER_SWEEP_RE = re.compile(
     r"(?:\.|->)\s*(?:quant_screen_sweep|quant_survivor_scan)\s*\("
 )
 PREFILTER_SWEEP_HOME = Path("src/core/shard_sweep.cpp")
+TAPE_RE = re.compile(r"\btensor::Tape\b|#\s*include\s*\"tensor/tape\.h\"")
+SERVING_DIRS = ("audit", "core", "dist", "net")
 ACCUM_CALL_RE = re.compile(r"std::(?:accumulate|reduce)\b")
 FP_DECL_RE = re.compile(r"\b(?:float|double)\s+(\w+)\s*(?:=|\{|;)")
 UNORDERED_DECL_RE = re.compile(
@@ -194,6 +203,9 @@ class Linter:
         waived = waivers_for(raw_lines)
         rel = path.relative_to(self.root)
         in_net = rel.parts[:2] == ("src", "net")
+        in_serving = len(rel.parts) > 2 and rel.parts[0] == "src" and (
+            rel.parts[1] in SERVING_DIRS
+        )
         in_determinism_scope = (
             path.parent.name in DETERMINISM_DIRS
             and not path.name.startswith(KERNEL_EXEMPT)
@@ -251,6 +263,13 @@ class Linter:
                     "prefilter kernel call outside src/core/shard_sweep.cpp; "
                     "retrieval sweeps have one copy, shared by the in-process "
                     "and remote corpora",
+                    waived,
+                )
+            if in_serving and TAPE_RE.search(line):
+                self.report(
+                    path, idx, "tape-in-serving",
+                    "autograd tape on a serving path; inference goes through "
+                    "Hw2Vec::embed_inference, which records no tape",
                     waived,
                 )
             if in_determinism_scope:

@@ -159,6 +159,28 @@ check("prefilter-sweep quiet on the kernel table's own definitions",
        "std::size_t (*quant_screen_sweep)(const QuantSweepQuery& qc);\n"},
       [])
 
+# --------------------------------------------------------- tape-in-serving
+check("tape-in-serving fires on a tape in each serving directory",
+      {"src/audit/a.cpp": "static thread_local tensor::Tape tape;\n",
+       "src/core/a.cpp": "gnn4ip::tensor::Tape tape;\n",
+       "src/dist/a.h": "#include \"tensor/tape.h\"\n",
+       "src/net/a.cpp": "using tensor::Tape;\n"},
+      ["tape-in-serving"] * 4)
+check("tape-in-serving quiet in training and the gnn layers",
+      {"src/train/a.cpp": "tensor::Tape& tape = *slot_tapes_[s];\n",
+       "src/gnn/a.h": "#include \"tensor/tape.h\"\n",
+       "src/tensor/tape.cpp": "Var Tape::constant(Matrix value);\n"}, [])
+check("tape-in-serving quiet on comments and look-alike names",
+      {"src/audit/a.cpp":
+       "// inference runs no tensor::Tape\n"
+       "tensor::TapeStats stats;\n"
+       "#include \"tensor/tape_free.h\"\n"}, [])
+check("tape-in-serving waivable",
+      {"src/core/a.cpp":
+       "// lint:allow(tape-in-serving): gradient check of a served model\n"
+       "tensor::Tape tape;\n"},
+      [], want_waived=1)
+
 # ------------------------------------------------------------- exit status
 clean = lint_tree({"src/core/a.cpp": "int x = 0;\n"})
 if clean.findings:

@@ -8,7 +8,6 @@
 
 #include "core/snapshot_format.h"
 #include "gnn/model_io.h"
-#include "tensor/tape.h"
 #include "util/contract.h"
 #include "util/thread_pool.h"
 
@@ -312,8 +311,7 @@ Submission AuditService::add_library(std::string name,
                                      gnn::GraphTensors tensors) {
   Submission s;
   s.name = std::move(name);
-  tensor::Tape tape;
-  const tensor::Matrix embedding = model_.embed_inference(tape, tensors);
+  const tensor::Matrix embedding = model_.embed_inference(tensors);
   // One admission ticket: the pinned row lands between two screening
   // commits, never mid-commit, so add_library is safe while consumers
   // stream.
@@ -456,15 +454,14 @@ std::vector<ScreenReport> AuditService::screen_batch(
   try {
     // Phase 1 — compile + featurize + embed, one slot per design, on
     // this call's own scratch state: designs are independent, each
-    // worker writes only its own slot, and the per-worker tape is reset
-    // per graph — embeddings (hence every score below) are
-    // bit-identical for any worker count. This phase takes no locks and
-    // no tickets, so K consumers embed disjoint batches fully in
-    // parallel. A malformed design lands a Diagnostic in its own report
-    // and never touches its batch-mates.
+    // worker writes only its own slot, and inference only reads the
+    // model — embeddings (hence every score below) are bit-identical
+    // for any worker count. This phase takes no locks and no tickets,
+    // so K consumers embed disjoint batches fully in parallel. A
+    // malformed design lands a Diagnostic in its own report and never
+    // touches its batch-mates.
     std::vector<tensor::Matrix> embeddings(batch.size());
     corpus_->fan_out(batch.size(), [&](std::size_t i) {
-      static thread_local tensor::Tape tape;
       AuditItem& item = batch[i];
       reports[i].submission.name = item.name;
       if (item.from_source) {
@@ -475,7 +472,7 @@ std::vector<ScreenReport> AuditService::screen_batch(
         }
         item.tensors = std::move(compiled.design.tensors);
       }
-      embeddings[i] = model_.embed_inference(tape, item.tensors);
+      embeddings[i] = model_.embed_inference(item.tensors);
       // Deferred to the commit slot: accepted is the "admitted" flag,
       // and admission happens under the ticket.
     });

@@ -11,7 +11,7 @@ PairwiseScorer::PairwiseScorer(const ScorerOptions& options)
     : options_(options) {}
 
 PairwiseScorer PairwiseScorer::from_entries(
-    gnn::Hw2Vec& model, std::span<const train::GraphEntry> entries,
+    const gnn::Hw2Vec& model, std::span<const train::GraphEntry> entries,
     const ScorerOptions& options) {
   PairwiseScorer scorer(options);
   // Graphs are independent, so the embedding phase fans out over the
@@ -19,13 +19,9 @@ PairwiseScorer PairwiseScorer::from_entries(
   // appended in corpus order afterwards, so the cache is bit-identical
   // for any worker count. Inference only reads the model weights, which
   // makes the shared `model` safe to use concurrently.
-  // Each worker thread reuses one tape across all the graphs it claims
-  // (reset() keeps the node vector's capacity), rather than paying a
-  // fresh tape allocation per graph.
   std::vector<tensor::Matrix> embeddings(entries.size());
   const auto embed_one = [&](std::size_t i) {
-    static thread_local tensor::Tape tape;
-    embeddings[i] = model.embed_inference(tape, entries[i].tensors);
+    embeddings[i] = model.embed_inference(entries[i].tensors);
   };
   util::parallel_for(entries.size(), options.num_threads, embed_one);
   for (std::size_t i = 0; i < entries.size(); ++i) {

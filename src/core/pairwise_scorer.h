@@ -49,7 +49,7 @@ class PairwiseScorer {
   /// Embed every entry once through `model` (fanned out over the worker
   /// pool; graphs are independent) and cache the rows in corpus order.
   [[nodiscard]] static PairwiseScorer from_entries(
-      gnn::Hw2Vec& model, std::span<const train::GraphEntry> entries,
+      const gnn::Hw2Vec& model, std::span<const train::GraphEntry> entries,
       const ScorerOptions& options = {});
 
   /// Append one design's embedding (a 1×D matrix, or any shape viewed as

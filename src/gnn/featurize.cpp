@@ -2,92 +2,78 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "dfg/node_kind.h"
 #include "util/contract.h"
 
 namespace gnn4ip::gnn {
 
-std::shared_ptr<const tensor::Csr> PooledAdjCache::find(
-    const std::vector<std::size_t>& kept) const {
-  util::MutexLock lock(mu_);
-  const auto it = entries_.find(kept);
-  return it == entries_.end() ? nullptr : it->second;
-}
-
-void PooledAdjCache::insert(const std::vector<std::size_t>& kept,
-                            std::shared_ptr<const tensor::Csr> adj) {
-  util::MutexLock lock(mu_);
-  if (entries_.size() >= kMaxEntries &&
-      entries_.find(kept) == entries_.end()) {
-    return;  // full: keep the resident (typically inference-stable) keys
-  }
-  entries_[kept] = std::move(adj);
-}
-
-std::size_t PooledAdjCache::size() const {
-  util::MutexLock lock(mu_);
-  return entries_.size();
-}
-
-std::shared_ptr<const tensor::Csr> normalized_adjacency(
-    std::size_t num_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>& edges,
-    bool symmetrize) {
-  GNN4IP_ENSURE(num_nodes > 0, "normalized_adjacency on empty graph");
-  // Structural entries of Â: self-loops + edges (+ reverses), then
-  // sort/unique — cheaper than a node-per-entry ordered set on the
-  // per-forward pooled-subgraph path.
-  std::vector<std::pair<std::size_t, std::size_t>> entries;
-  entries.reserve(num_nodes + edges.size() * (symmetrize ? 2 : 1));
-  for (std::size_t v = 0; v < num_nodes; ++v) entries.emplace_back(v, v);
-  for (const auto& [src, dst] : edges) {
-    GNN4IP_ENSURE(src < num_nodes && dst < num_nodes,
-                  "edge endpoint out of range");
-    entries.emplace_back(src, dst);
-    if (symmetrize) entries.emplace_back(dst, src);
-  }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  // Degrees of Â.
-  std::vector<float> degree(num_nodes, 0.0F);
-  for (const auto& [r, c] : entries) degree[r] += 1.0F;
-  std::vector<float> inv_sqrt(num_nodes);
-  for (std::size_t v = 0; v < num_nodes; ++v) {
-    inv_sqrt[v] = 1.0F / std::sqrt(degree[v]);
-  }
-  std::vector<tensor::Triplet> triplets;
-  triplets.reserve(entries.size());
-  for (const auto& [r, c] : entries) {
-    triplets.push_back({r, c, inv_sqrt[r] * inv_sqrt[c]});
-  }
-  return std::make_shared<tensor::Csr>(
-      tensor::Csr::from_triplets(num_nodes, num_nodes, std::move(triplets)));
-}
-
 GraphTensors featurize(const graph::Digraph& g,
                        const FeaturizeOptions& options) {
   GNN4IP_ENSURE(g.num_nodes() > 0, "featurize on empty graph");
+  const std::size_t n = g.num_nodes();
   GraphTensors t;
-  t.num_nodes = g.num_nodes();
-  t.symmetrize = options.symmetrize;
-  t.x = tensor::Matrix(g.num_nodes(), dfg::kNodeKindCount);
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+  t.num_nodes = n;
+  t.x = tensor::Matrix(n, dfg::kNodeKindCount);
+  for (std::size_t v = 0; v < n; ++v) {
     const int kind = g.node(static_cast<graph::NodeId>(v)).kind;
     GNN4IP_ENSURE(kind >= 0 && kind < dfg::kNodeKindCount,
                   "node kind outside DFG vocabulary");
     t.x.at(v, static_cast<std::size_t>(kind)) = 1.0F;
   }
-  std::set<std::pair<std::size_t, std::size_t>> dedup;
-  for (const auto& [src, dst] : g.edges()) {
-    if (src == dst) continue;  // self-loops are re-added by normalization
-    dedup.insert({static_cast<std::size_t>(src),
-                  static_cast<std::size_t>(dst)});
+
+  // One pass over the rows builds both the edge list and the structure
+  // of Â. Each row is sorted and deduplicated on its own, so the edges
+  // come out in (src, dst) order and Â's columns ascend within a row:
+  // the order a global sort would give, without one.
+  t.edges.reserve(g.num_edges());
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<std::size_t> cols;
+  cols.reserve(n + g.num_edges() * (options.symmetrize ? 2 : 1));
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto id = static_cast<graph::NodeId>(r);
+    const std::size_t first_edge = t.edges.size();
+    for (const graph::NodeId d : g.out_neighbors(id)) {
+      // Self-loops are re-added as Â's diagonal.
+      const auto dst = static_cast<std::size_t>(d);
+      if (dst != r) t.edges.emplace_back(r, dst);
+    }
+    const auto edge_row = t.edges.begin() + static_cast<long>(first_edge);
+    std::sort(edge_row, t.edges.end());
+    t.edges.erase(std::unique(edge_row, t.edges.end()), t.edges.end());
+
+    const std::size_t first_col = cols.size();
+    cols.push_back(r);
+    for (auto e = t.edges.begin() + static_cast<long>(first_edge);
+         e != t.edges.end(); ++e) {
+      cols.push_back(e->second);
+    }
+    if (options.symmetrize) {
+      for (const graph::NodeId s : g.in_neighbors(id)) {
+        cols.push_back(static_cast<std::size_t>(s));
+      }
+    }
+    const auto col_row = cols.begin() + static_cast<long>(first_col);
+    std::sort(col_row, cols.end());
+    cols.erase(std::unique(col_row, cols.end()), cols.end());
+    offsets[r + 1] = cols.size();
   }
-  t.edges.assign(dedup.begin(), dedup.end());
-  t.adj = normalized_adjacency(t.num_nodes, t.edges, options.symmetrize);
-  t.pooled_cache = std::make_shared<PooledAdjCache>();
+
+  // D̂^{-1/2} Â D̂^{-1/2}: a row's length is its degree in Â.
+  std::vector<float> inv_sqrt(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    inv_sqrt[v] =
+        1.0F / std::sqrt(static_cast<float>(offsets[v + 1] - offsets[v]));
+  }
+  std::vector<float> values(cols.size());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      values[k] = inv_sqrt[r] * inv_sqrt[cols[k]];
+    }
+  }
+  t.adj = std::make_shared<tensor::Csr>(tensor::Csr::from_sorted(
+      n, n, std::move(offsets), std::move(cols), std::move(values),
+      /*symmetric=*/options.symmetrize));
   return t;
 }
 

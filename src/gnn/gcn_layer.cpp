@@ -19,4 +19,19 @@ tensor::Var GcnLayer::forward(tensor::Tape& tape,
   return apply_relu ? tape.relu(with_bias) : with_bias;
 }
 
+tensor::Matrix GcnLayer::forward(const tensor::Csr& adj,
+                                const tensor::Matrix& x,
+                                bool apply_relu) const {
+  tensor::Matrix y = adj.multiply(tensor::matmul(x, weight_.value));
+  const auto b = bias_.value.row(0);
+  for (std::size_t r = 0; r < y.rows(); ++r) {
+    auto yr = y.row(r);
+    for (std::size_t c = 0; c < y.cols(); ++c) yr[c] += b[c];
+  }
+  if (apply_relu) {
+    for (float& v : y.data()) v = v > 0.0F ? v : 0.0F;
+  }
+  return y;
+}
+
 }  // namespace gnn4ip::gnn

@@ -21,6 +21,12 @@ class GcnLayer {
                                     std::shared_ptr<const tensor::Csr> adj,
                                     tensor::Var x, bool apply_relu = true);
 
+  /// Inference: the same kernels in the same order with no tape; reads
+  /// W and b in place.
+  [[nodiscard]] tensor::Matrix forward(const tensor::Csr& adj,
+                                       const tensor::Matrix& x,
+                                       bool apply_relu = true) const;
+
   [[nodiscard]] std::size_t in_dim() const { return in_dim_; }
   [[nodiscard]] std::size_t out_dim() const { return out_dim_; }
 

@@ -26,41 +26,34 @@ Hw2Vec::Hw2Vec(const Hw2VecConfig& config)
       convs_(build_convs(config_, init_rng_)),
       pool_(config_.hidden_dim, config_.pool_ratio, init_rng_) {}
 
-tensor::Var Hw2Vec::embed(tensor::Tape& tape, const GraphTensors& g,
-                          util::Rng& dropout_rng, bool training) {
+void Hw2Vec::check_input(const GraphTensors& g) const {
   GNN4IP_ENSURE(g.x.cols() == config_.input_dim,
                 "graph feature width does not match model input_dim");
+}
+
+tensor::Var Hw2Vec::embed(tensor::Tape& tape, const GraphTensors& g,
+                          util::Rng& dropout_rng, bool training) {
+  check_input(g);
   tensor::Var x = tape.constant(g.x);
   // Message-propagation phase (Eq. 5), dropout after every GCN layer.
   for (std::size_t l = 0; l < convs_.size(); ++l) {
-    const bool last = l + 1 == convs_.size();
-    const bool apply_relu = !last || config_.relu_last_layer;
-    x = convs_[l].forward(tape, g.adj, x, apply_relu);
+    x = convs_[l].forward(tape, g.adj, x, relu_after(l));
     x = tape.dropout(x, config_.dropout, dropout_rng, training);
   }
-  // Attention-based top-k pooling (pooled adjacency served from the
-  // graph's cache when the kept set recurs).
+  // Attention-based top-k pooling, then the read-out phase (Eq. 3).
   SagPool::Result pooled = pool_.forward(tape, g, x);
-  // Read-out phase (Eq. 3).
   return apply_readout(tape, pooled.x, config_.readout);
 }
 
-tensor::Matrix Hw2Vec::embed_inference(const GraphTensors& g) {
-  tensor::Tape tape;
-  return embed_inference(tape, g);
-}
-
-tensor::Matrix Hw2Vec::embed_inference(tensor::Tape& tape,
-                                       const GraphTensors& g) {
-  tape.reset();
-  util::Rng unused(0);
-  tensor::Var h = embed(tape, g, unused, /*training=*/false);
-  tensor::Matrix out = h.value();
-  // Drop the node matrices now (keeping the vector's capacity): a
-  // worker's thread-local tape would otherwise pin the last graph's
-  // whole forward state while the pool sits idle.
-  tape.reset();
-  return out;
+tensor::Matrix Hw2Vec::embed_inference(const GraphTensors& g) const {
+  check_input(g);
+  GNN4IP_ENSURE(g.adj != nullptr, "graph has no adjacency");
+  // Dropout is the identity at inference, so it has no step here.
+  tensor::Matrix x = convs_[0].forward(*g.adj, g.x, relu_after(0));
+  for (std::size_t l = 1; l < convs_.size(); ++l) {
+    x = convs_[l].forward(*g.adj, x, relu_after(l));
+  }
+  return apply_readout(pool_.forward(g, x), config_.readout);
 }
 
 std::vector<tensor::Parameter*> Hw2Vec::parameters() {

@@ -3,6 +3,11 @@
 //
 // The same weights embed both members of a circuit pair; similarity is
 // the cosine of the two embeddings (Eq. 6).
+//
+// Two forward paths share the layers' kernels: embed() records an
+// autograd tape for training, and embed_inference() runs the same
+// arithmetic in the same order with no tape, so its embeddings are
+// bit-identical to the tape's (gnn_test and train_test compare them).
 #pragma once
 
 #include <memory>
@@ -30,7 +35,7 @@ struct Hw2VecConfig {
   /// graph embedding is confined to the positive orthant, where cosine
   /// similarity saturates near +1 and same/different pairs cannot
   /// separate (embedding collapse). Eq. 5's σ is kept on all hidden
-  /// layers; see EXPERIMENTS.md for the ablation.
+  /// layers. No ablation of this choice is recorded yet.
   bool relu_last_layer = false;
   std::uint64_t seed = 1;        // weight-init seed
 };
@@ -44,16 +49,10 @@ class Hw2Vec {
   [[nodiscard]] tensor::Var embed(tensor::Tape& tape, const GraphTensors& g,
                                   util::Rng& dropout_rng, bool training);
 
-  /// Inference-only convenience: fresh tape, no dropout; returns h_G.
-  [[nodiscard]] tensor::Matrix embed_inference(const GraphTensors& g);
-
-  /// Inference embed on a caller-provided tape. The tape is reset()
-  /// first, so a worker can reuse one tape across a whole corpus
-  /// (retained node-vector capacity) instead of constructing a fresh
-  /// tape per graph; the arithmetic — and thus the embedding — is
-  /// bit-identical to the fresh-tape overload.
-  [[nodiscard]] tensor::Matrix embed_inference(tensor::Tape& tape,
-                                               const GraphTensors& g);
+  /// Inference: h_G with no tape and no dropout. Reads the weights in
+  /// place and writes nothing, so any number of threads may share one
+  /// model.
+  [[nodiscard]] tensor::Matrix embed_inference(const GraphTensors& g) const;
 
   /// All trainable parameters (for the optimizer / serialization).
   [[nodiscard]] std::vector<tensor::Parameter*> parameters();
@@ -67,6 +66,13 @@ class Hw2Vec {
   [[nodiscard]] SagPool& pool() { return pool_; }
 
  private:
+  void check_input(const GraphTensors& g) const;
+  /// ReLU after conv layer `l`: every hidden layer, and the last one
+  /// only when relu_last_layer is set.
+  [[nodiscard]] bool relu_after(std::size_t l) const {
+    return l + 1 < convs_.size() || config_.relu_last_layer;
+  }
+
   Hw2VecConfig config_;
   util::Rng init_rng_;  // declared before the layers that consume it
   std::vector<GcnLayer> convs_;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/contract.h"
+
 namespace gnn4ip::gnn {
 
 const char* to_string(Readout r) {
@@ -28,6 +30,20 @@ tensor::Var apply_readout(tensor::Tape& tape, tensor::Var x, Readout readout) {
     case Readout::kMax: return tape.readout_max(x);
   }
   return tape.readout_max(x);
+}
+
+tensor::Matrix apply_readout(const tensor::Matrix& x, Readout readout) {
+  GNN4IP_ENSURE(x.rows() > 0, "readout over empty matrix");
+  switch (readout) {
+    case Readout::kSum: return tensor::column_sums(x);
+    case Readout::kMean: {
+      tensor::Matrix y = tensor::column_sums(x);
+      y.scale_in_place(1.0F / static_cast<float>(x.rows()));
+      return y;
+    }
+    case Readout::kMax: return tensor::column_max(x);
+  }
+  return tensor::column_max(x);
 }
 
 }  // namespace gnn4ip::gnn

@@ -18,4 +18,8 @@ enum class Readout { kSum, kMean, kMax };
 [[nodiscard]] tensor::Var apply_readout(tensor::Tape& tape, tensor::Var x,
                                         Readout readout);
 
+/// Inference: the same column reductions as the tape readouts, no tape.
+[[nodiscard]] tensor::Matrix apply_readout(const tensor::Matrix& x,
+                                           Readout readout);
+
 }  // namespace gnn4ip::gnn

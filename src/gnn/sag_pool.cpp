@@ -4,10 +4,18 @@
 #include <cmath>
 #include <numeric>
 
-#include "gnn/featurize.h"
 #include "util/contract.h"
 
 namespace gnn4ip::gnn {
+namespace {
+
+void check_rows(const GraphTensors& g, std::size_t n) {
+  GNN4IP_ENSURE(n > 0, "SagPool on empty graph");
+  GNN4IP_ENSURE(n == g.num_nodes,
+                "SagPool: node embedding rows != graph node count");
+}
+
+}  // namespace
 
 SagPool::SagPool(std::size_t dim, float ratio, util::Rng& rng)
     : scorer_(dim, 1, rng), ratio_(ratio) {
@@ -15,66 +23,55 @@ SagPool::SagPool(std::size_t dim, float ratio, util::Rng& rng)
                 "pooling ratio must be in (0, 1]");
 }
 
-SagPool::Result SagPool::forward(tensor::Tape& tape, const GraphTensors& g,
-                                 tensor::Var x) {
-  const std::size_t n = x.value().rows();
-  GNN4IP_ENSURE(n > 0, "SagPool on empty graph");
-  GNN4IP_ENSURE(n == g.num_nodes,
-                "SagPool: node embedding rows != graph node count");
-
-  // α = SCORE(X, A): one-channel GCN, no ReLU (gate activation is tanh).
-  tensor::Var alpha = scorer_.forward(tape, g.adj, x, /*apply_relu=*/false);
-  tensor::Var gate = tape.tanh_op(alpha);
-
-  // Top-k selection on the raw scores (selection itself is
-  // non-differentiable; gradients flow through the tanh gate).
+std::vector<std::size_t> SagPool::top_k(const tensor::Matrix& scores) const {
+  const std::size_t n = scores.rows();
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::ceil(ratio_ * static_cast<float>(n))));
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  const tensor::Matrix& scores = alpha.value();
   std::stable_sort(order.begin(), order.end(),
                    [&scores](std::size_t a, std::size_t b) {
                      return scores.at(a, 0) > scores.at(b, 0);
                    });
   std::vector<std::size_t> kept(order.begin(),
                                 order.begin() + static_cast<long>(k));
-  // Preserve original node order within the pooled graph so pooled
-  // adjacency construction is deterministic.
+  // Kept rows stay in original node order, so the pooled rows (and a
+  // readout's tie-breaks) do not depend on the score ranking.
   std::sort(kept.begin(), kept.end());
+  return kept;
+}
 
-  // Gather and gate the surviving rows.
+SagPool::Result SagPool::forward(tensor::Tape& tape, const GraphTensors& g,
+                                 tensor::Var x) {
+  check_rows(g, x.value().rows());
+  // α = SCORE(X, A): one-channel GCN, no ReLU (gate activation is tanh).
+  tensor::Var alpha = scorer_.forward(tape, g.adj, x, /*apply_relu=*/false);
+  tensor::Var gate = tape.tanh_op(alpha);
+  // Selection itself is non-differentiable; gradients flow through the
+  // tanh gate.
+  std::vector<std::size_t> kept = top_k(alpha.value());
   tensor::Var x_kept = tape.select_rows(x, kept);
   tensor::Var gate_kept = tape.select_rows(gate, kept);
-  tensor::Var x_pool = tape.scale_rows(x_kept, gate_kept);
+  return {tape.scale_rows(x_kept, gate_kept), std::move(kept)};
+}
 
-  // Re-induce edges on the kept set. The re-normalized pooled operator
-  // is a pure function of (graph, kept), so serve it from the graph's
-  // memo when the same kept set recurs instead of renormalizing.
-  std::vector<std::size_t> remap(n, static_cast<std::size_t>(-1));
-  for (std::size_t i = 0; i < kept.size(); ++i) remap[kept[i]] = i;
-  std::vector<std::pair<std::size_t, std::size_t>> pooled_edges;
-  for (const auto& [src, dst] : g.edges) {
-    const std::size_t s = remap[src];
-    const std::size_t d = remap[dst];
-    if (s != static_cast<std::size_t>(-1) &&
-        d != static_cast<std::size_t>(-1)) {
-      pooled_edges.emplace_back(s, d);
-    }
+tensor::Matrix SagPool::forward(const GraphTensors& g,
+                                const tensor::Matrix& x) const {
+  check_rows(g, x.rows());
+  const tensor::Matrix alpha =
+      scorer_.forward(*g.adj, x, /*apply_relu=*/false);
+  const std::vector<std::size_t> kept = top_k(alpha);
+  // Gathered and gated into their own matrix, one product per element,
+  // as select_rows + scale_rows do.
+  tensor::Matrix pooled(kept.size(), x.cols());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const float f = std::tanh(alpha.at(kept[i], 0));
+    const auto src = x.row(kept[i]);
+    auto dst = pooled.row(i);
+    for (std::size_t c = 0; c < dst.size(); ++c) dst[c] = src[c] * f;
   }
-
-  Result result;
-  result.x = x_pool;
-  if (g.pooled_cache) result.adj = g.pooled_cache->find(kept);
-  if (!result.adj) {
-    result.adj =
-        normalized_adjacency(kept.size(), pooled_edges, g.symmetrize);
-    if (g.pooled_cache) g.pooled_cache->insert(kept, result.adj);
-  }
-  result.edges = std::move(pooled_edges);
-  result.kept = std::move(kept);
-  return result;
+  return pooled;
 }
 
 }  // namespace gnn4ip::gnn

@@ -2,15 +2,12 @@
 //
 // A single-output GCN predicts a score per node:
 //   α = SCORE(X_prop, A_prop)
-// The top ⌈ratio·N⌉ nodes by α are kept; the surviving node features are
-// gated by tanh(α) so the scorer receives gradient, and the adjacency is
-// re-induced on the kept nodes. The re-normalized pooled operator is
-// served from the graph's PooledAdjCache when the same kept set recurs
-// (always, at inference), instead of being rebuilt every forward pass.
+// The top ⌈ratio·N⌉ nodes by α are kept and their features are gated
+// by tanh(α), so the scorer receives gradient. hw2vec runs no layer
+// after the pool, only the readout, so the pooled subgraph's adjacency
+// would never be read and is not built.
 #pragma once
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "gnn/featurize.h"
@@ -26,23 +23,30 @@ class SagPool {
   SagPool(std::size_t dim, float ratio, util::Rng& rng);
 
   struct Result {
-    tensor::Var x;                               // pooled node embeddings
-    std::shared_ptr<const tensor::Csr> adj;      // pooled, re-normalized
-    std::vector<std::pair<std::size_t, std::size_t>> edges;  // pooled edges
-    std::vector<std::size_t> kept;               // original node indices
+    tensor::Var x;                   // gated kept rows, in kept order
+    std::vector<std::size_t> kept;   // original node indices, ascending
   };
 
-  /// Pool the propagated node embeddings `x` (one row per node of `g`).
-  /// Reads the graph structure — adjacency, edge list, symmetrize flag,
-  /// pooled-adjacency memo — from `g`.
+  /// Pool the propagated node embeddings `x` (one row per node of `g`)
+  /// on the tape (training path).
   [[nodiscard]] Result forward(tensor::Tape& tape, const GraphTensors& g,
                                tensor::Var x);
+
+  /// Inference: the same arithmetic with no tape. Returns the gated kept
+  /// rows, bit-identical to the tape path's Result::x.
+  [[nodiscard]] tensor::Matrix forward(const GraphTensors& g,
+                                       const tensor::Matrix& x) const;
 
   [[nodiscard]] GcnLayer& scorer() { return scorer_; }
   [[nodiscard]] const GcnLayer& scorer() const { return scorer_; }
   [[nodiscard]] float ratio() const { return ratio_; }
 
  private:
+  /// Ascending indices of the top ⌈ratio·n⌉ rows of the n×1 `scores`
+  /// (stable: ties keep the lower index).
+  [[nodiscard]] std::vector<std::size_t> top_k(
+      const tensor::Matrix& scores) const;
+
   GcnLayer scorer_;
   float ratio_;
 };

@@ -12,9 +12,8 @@ Csr Csr::from_triplets(std::size_t rows, std::size_t cols,
     GNN4IP_ENSURE(t.row < rows && t.col < cols,
                   "triplet index out of range");
   }
-  // Sort by (row, col) and merge-sum duplicates in place. This is the
-  // construction hot path (one CSR per graph plus one per pooled
-  // subgraph), so no node-per-cell containers.
+  // Sort by (row, col) and merge-sum duplicates in place: no
+  // node-per-cell containers.
   std::sort(triplets.begin(), triplets.end(),
             [](const Triplet& a, const Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
@@ -46,26 +45,60 @@ Csr Csr::from_triplets(std::size_t rows, std::size_t cols,
     s.col_indices_[i] = triplets[i].col;
     s.values_[i] = triplets[i].value;
   }
+  s.build_transpose();
+  return s;
+}
 
-  // Eager transpose (CSC of the original = CSR of the transpose).
-  s.t_row_offsets_.assign(cols + 1, 0);
-  for (std::size_t c : s.col_indices_) ++s.t_row_offsets_[c + 1];
-  for (std::size_t c = 0; c < cols; ++c) {
-    s.t_row_offsets_[c + 1] += s.t_row_offsets_[c];
-  }
-  s.t_col_indices_.resize(triplets.size());
-  s.t_values_.resize(triplets.size());
-  std::vector<std::size_t> cursor(s.t_row_offsets_.begin(),
-                                  s.t_row_offsets_.end() - 1);
+Csr Csr::from_sorted(std::size_t rows, std::size_t cols,
+                     std::vector<std::size_t> row_offsets,
+                     std::vector<std::size_t> col_indices,
+                     std::vector<float> values, bool symmetric) {
+  GNN4IP_ENSURE(row_offsets.size() == rows + 1 && row_offsets.front() == 0 &&
+                    row_offsets.back() == col_indices.size() &&
+                    values.size() == col_indices.size(),
+                "CSR arrays disagree on shape or nnz");
+  GNN4IP_ENSURE(!symmetric || rows == cols, "symmetric CSR must be square");
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t k = s.row_offsets_[r]; k < s.row_offsets_[r + 1]; ++k) {
-      const std::size_t c = s.col_indices_[k];
-      const std::size_t slot = cursor[c]++;
-      s.t_col_indices_[slot] = r;
-      s.t_values_[slot] = s.values_[k];
+    GNN4IP_ENSURE(row_offsets[r] <= row_offsets[r + 1] &&
+                      row_offsets[r + 1] <= col_indices.size(),
+                  "CSR row offsets must not decrease or pass nnz");
+    for (std::size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
+      GNN4IP_ENSURE(col_indices[k] < cols &&
+                        (k == row_offsets[r] ||
+                         col_indices[k - 1] < col_indices[k]),
+                    "CSR columns must be in range and ascending per row");
     }
   }
+  Csr s;
+  s.rows_ = rows;
+  s.cols_ = cols;
+  s.row_offsets_ = std::move(row_offsets);
+  s.col_indices_ = std::move(col_indices);
+  s.values_ = std::move(values);
+  s.symmetric_ = symmetric;
+  if (!symmetric) s.build_transpose();
   return s;
+}
+
+void Csr::build_transpose() {
+  // CSC of the original = CSR of the transpose. Rows are walked in
+  // ascending order, so every transposed row lists ascending columns.
+  t_row_offsets_.assign(cols_ + 1, 0);
+  for (std::size_t c : col_indices_) ++t_row_offsets_[c + 1];
+  for (std::size_t c = 0; c < cols_; ++c) {
+    t_row_offsets_[c + 1] += t_row_offsets_[c];
+  }
+  t_col_indices_.resize(col_indices_.size());
+  t_values_.resize(values_.size());
+  std::vector<std::size_t> cursor(t_row_offsets_.begin(),
+                                  t_row_offsets_.end() - 1);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const std::size_t slot = cursor[col_indices_[k]]++;
+      t_col_indices_[slot] = r;
+      t_values_[slot] = values_[k];
+    }
+  }
 }
 
 namespace {
@@ -126,6 +159,7 @@ Matrix Csr::multiply(const Matrix& x) const {
 
 Matrix Csr::multiply_transposed(const Matrix& x) const {
   GNN4IP_ENSURE(x.rows() == rows_, "spmmᵀ shape mismatch");
+  if (symmetric_) return spmm(row_offsets_, col_indices_, values_, cols_, x);
   return spmm(t_row_offsets_, t_col_indices_, t_values_, cols_, x);
 }
 

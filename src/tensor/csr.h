@@ -2,8 +2,9 @@
 //
 // Used for the symmetric-normalized adjacency D̂^{-1/2}ÂD̂^{-1/2} of
 // Eq. 5: the adjacency is a constant of each graph, so only dense
-// operands carry gradients. spmm backward therefore needs Sᵀ·dY, which
-// is served by a cached transpose.
+// operands carry gradients. spmm backward therefore needs Sᵀ·dY. A
+// general matrix serves it from a cached transpose; a symmetric one is
+// its own transpose, so it stores none and reads its own arrays.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,17 @@ class Csr {
   [[nodiscard]] static Csr from_triplets(std::size_t rows, std::size_t cols,
                                          std::vector<Triplet> triplets);
 
+  /// Adopt finished CSR arrays: `row_offsets` has rows+1 entries from
+  /// 0 to nnz, and each row's columns are strictly ascending. With
+  /// `symmetric` the caller promises S(r,c) == S(c,r) bit for bit; no
+  /// transpose is stored, and multiply_transposed reads S itself, whose
+  /// row c lists the same columns in the same order as the transpose's.
+  [[nodiscard]] static Csr from_sorted(std::size_t rows, std::size_t cols,
+                                       std::vector<std::size_t> row_offsets,
+                                       std::vector<std::size_t> col_indices,
+                                       std::vector<float> values,
+                                       bool symmetric);
+
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }
@@ -36,6 +48,8 @@ class Csr {
 
   /// Y = Sᵀ · X (dense X with X.rows() == rows()).
   [[nodiscard]] Matrix multiply_transposed(const Matrix& x) const;
+
+  [[nodiscard]] bool symmetric() const { return symmetric_; }
 
   /// Materialize as dense (tests only; small graphs).
   [[nodiscard]] Matrix to_dense() const;
@@ -55,9 +69,10 @@ class Csr {
   std::vector<std::size_t> row_offsets_;  // size rows_+1
   std::vector<std::size_t> col_indices_;
   std::vector<float> values_;
-  // Cached transpose in CSR form (same arrays, swapped roles), built
-  // lazily by multiply_transposed via const access — precomputed eagerly
-  // in from_triplets to keep the class immutable after construction.
+  bool symmetric_ = false;
+  // Transpose in CSR form, built eagerly at construction so the class
+  // is immutable afterwards. Empty when symmetric_.
+  void build_transpose();
   std::vector<std::size_t> t_row_offsets_;
   std::vector<std::size_t> t_col_indices_;
   std::vector<float> t_values_;

@@ -181,6 +181,33 @@ Matrix hadamard(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+Matrix column_sums(const Matrix& a) {
+  Matrix y(1, a.cols());
+  auto yr = y.row(0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto ar = a.row(r);
+    for (std::size_t c = 0; c < a.cols(); ++c) yr[c] += ar[c];
+  }
+  return y;
+}
+
+Matrix column_max(const Matrix& a, std::vector<std::size_t>* argmax) {
+  GNN4IP_ENSURE(a.rows() > 0, "column_max over empty matrix");
+  Matrix y(1, a.cols());
+  if (argmax != nullptr) argmax->assign(a.cols(), 0);
+  for (std::size_t c = 0; c < a.cols(); ++c) {
+    float best = a.at(0, c);
+    for (std::size_t r = 1; r < a.rows(); ++r) {
+      if (a.at(r, c) > best) {
+        best = a.at(r, c);
+        if (argmax != nullptr) (*argmax)[c] = r;
+      }
+    }
+    y.at(0, c) = best;
+  }
+  return y;
+}
+
 float dot(const Matrix& a, const Matrix& b) {
   GNN4IP_ENSURE(a.same_shape(b), "dot shape mismatch");
   double acc = 0.0;

@@ -73,6 +73,12 @@ class Matrix {
 [[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix subtract(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix hadamard(const Matrix& a, const Matrix& b);
+/// Column-wise sum over rows -> 1×C, rows added in ascending order.
+[[nodiscard]] Matrix column_sums(const Matrix& a);
+/// Column-wise max over rows -> 1×C (a must have rows). When `argmax`
+/// is given it receives, per column, the first row holding the max.
+[[nodiscard]] Matrix column_max(const Matrix& a,
+                                std::vector<std::size_t>* argmax = nullptr);
 /// Dot product of two matrices viewed as flat vectors (shapes must match).
 [[nodiscard]] float dot(const Matrix& a, const Matrix& b);
 /// Max relative/absolute difference, for tests.

@@ -404,18 +404,8 @@ Var Tape::readout_max(Var a) {
   check_owned(a);
   const Matrix& x = cnode(a.index_).value;
   GNN4IP_ENSURE(x.rows() > 0, "readout over empty matrix");
-  Matrix y(1, x.cols());
-  std::vector<std::size_t> argmax(x.cols(), 0);
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    float best = x.at(0, c);
-    for (std::size_t r = 1; r < x.rows(); ++r) {
-      if (x.at(r, c) > best) {
-        best = x.at(r, c);
-        argmax[c] = r;
-      }
-    }
-    y.at(0, c) = best;
-  }
+  std::vector<std::size_t> argmax;
+  Matrix y = column_max(x, &argmax);
   const bool needs = cnode(a.index_).needs_grad;
   Var out = make_node(std::move(y), needs);
   if (needs) {
@@ -437,11 +427,7 @@ Var Tape::readout_mean(Var a) {
   check_owned(a);
   const Matrix& x = cnode(a.index_).value;
   GNN4IP_ENSURE(x.rows() > 0, "readout over empty matrix");
-  Matrix y(1, x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto xr = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) y.at(0, c) += xr[c];
-  }
+  Matrix y = column_sums(x);
   const float inv_n = 1.0F / static_cast<float>(x.rows());
   y.scale_in_place(inv_n);
   const bool needs = cnode(a.index_).needs_grad;
@@ -468,11 +454,7 @@ Var Tape::readout_sum(Var a) {
   check_owned(a);
   const Matrix& x = cnode(a.index_).value;
   GNN4IP_ENSURE(x.rows() > 0, "readout over empty matrix");
-  Matrix y(1, x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto xr = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) y.at(0, c) += xr[c];
-  }
+  Matrix y = column_sums(x);
   const bool needs = cnode(a.index_).needs_grad;
   Var out = make_node(std::move(y), needs);
   if (needs) {

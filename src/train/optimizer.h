@@ -3,7 +3,8 @@
 // The paper trains with batch gradient descent at lr = 1e-3; plain SGD
 // (optionally with momentum) reproduces that setting, and Adam is
 // provided because cosine-embedding training converges substantially
-// faster with it on small corpora (EXPERIMENTS.md discusses the choice).
+// faster with it on small corpora. No SGD-vs-Adam comparison is
+// recorded yet.
 #pragma once
 
 #include <memory>

@@ -270,14 +270,10 @@ EpochStats Trainer::train_epoch_pair_batch() {
 
 std::vector<tensor::Matrix> Trainer::embed_all() {
   // Graphs are independent; each worker fills only its own slot, so the
-  // result is bit-identical for any worker count. Each worker thread
-  // reuses one tape across all the graphs it claims (reset() keeps the
-  // node vector's capacity) instead of constructing a tape per graph.
+  // result is bit-identical for any worker count.
   std::vector<tensor::Matrix> embeddings(dataset_.graphs().size());
   const auto embed_one = [&](std::size_t g) {
-    static thread_local tensor::Tape tape;
-    embeddings[g] =
-        model_.embed_inference(tape, dataset_.graphs()[g].tensors);
+    embeddings[g] = model_.embed_inference(dataset_.graphs()[g].tensors);
   };
   pool().parallel_for(embeddings.size(), embed_one);
   return embeddings;

@@ -25,11 +25,10 @@
 //   2^24+1 pool-batch  ThreadPool::batch_mu_            one batch at a time
 //   2^24+2 pool-work   ThreadPool::mu_                  worker wakeups
 //   2^25   progress    AsyncAuditor::progress_mu_       submitted/reported
-//   2^25+1 featurize   gnn::PooledAdjCache::mu_         pooled-adj memo
 //
-// The pool/progress/featurize block sits above every corpus rank
-// because scans fan out to the pool *while holding stripes*, and the
-// featurize cache is touched from inside pool workers. A rank of -1
+// The pool/progress block sits above every corpus rank because scans
+// fan out to the pool *while holding stripes*. Featurize and embed
+// take no lock: inference only reads the model. A rank of -1
 // (the default) opts a lock out of validation entirely.
 //
 // When the build defines GNN4IP_LOCK_ORDER (CMake -DGNN4IP_LOCK_ORDER=ON,
@@ -83,7 +82,6 @@ inline constexpr LockRank kPoolSpawn{1 << 24, "corpus-pool-spawn"};
 inline constexpr LockRank kPoolBatch{(1 << 24) + 1, "pool-batch"};
 inline constexpr LockRank kPoolWork{(1 << 24) + 2, "pool-work"};
 inline constexpr LockRank kProgress{1 << 25, "auditor-progress"};
-inline constexpr LockRank kFeaturize{(1 << 25) + 1, "featurize-cache"};
 }  // namespace lock_rank
 
 #ifdef GNN4IP_LOCK_ORDER

@@ -20,6 +20,7 @@
 #include "core/pairwise_scorer.h"
 #include "data/corpus.h"
 #include "data/rtl_designs.h"
+#include "scratch_dir.h"
 #include "util/contract.h"
 #include "util/rng.h"
 
@@ -336,9 +337,8 @@ TEST(AuditService, NameIndexStaysConsistentThroughChurn) {
   ASSERT_TRUE(service.add_library("lib", entries[0].tensors).accepted);
   check(0);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "gnn4ip_audit_churn")
-          .string();
+  const test::ScratchDir scratch("gnn4ip_audit_churn");
+  const std::string dir = (scratch.path() / "corpus").string();
   util::Rng rng(29);
   std::size_t replaced = 0;
   std::size_t budget_evictions = 0;

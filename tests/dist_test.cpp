@@ -28,6 +28,7 @@
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
 #include "data/corpus.h"
+#include "scratch_dir.h"
 #include "dist/dist_corpus.h"
 #include "dist/shard_server.h"
 #include "gnn/model_io.h"
@@ -166,12 +167,11 @@ std::vector<core::ScreenMatch> raw_top_k(std::uint16_t port,
   return result;
 }
 
+/// Emptied snapshot directory `leaf` inside this process's own
+/// scratch root, which is removed at exit.
 std::string snapshot_dir(const std::string& leaf) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "gnn4ip_dist_test" / leaf;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  static const test::ScratchDir root("gnn4ip_dist_test");
+  return root.fresh(leaf);
 }
 
 TEST(DistCorpus, ParseEndpointsAcceptsListsRejectsGarbage) {

@@ -2,9 +2,12 @@
 // hw2vec end-to-end, and model serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
 
+#include "data/corpus.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
 #include "gnn/featurize.h"
@@ -85,6 +88,115 @@ TEST(Featurize, NormalizationMatchesEq5ByHand) {
   }
 }
 
+// featurize as it was built before it went row by row: edges deduped
+// through an ordered set, Â's entries through another, degrees summed
+// one entry at a time, and the CSR assembled by Csr::from_triplets
+// (which stores a transpose).
+struct ReferenceTensors {
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  tensor::Csr adj;
+};
+
+ReferenceTensors reference_featurize(const graph::Digraph& g,
+                                     bool symmetrize) {
+  ReferenceTensors ref;
+  std::set<std::pair<std::size_t, std::size_t>> dedup;
+  for (const auto& [src, dst] : g.edges()) {
+    if (src != dst) {
+      dedup.insert({static_cast<std::size_t>(src),
+                    static_cast<std::size_t>(dst)});
+    }
+  }
+  ref.edges.assign(dedup.begin(), dedup.end());
+  const std::size_t n = g.num_nodes();
+  std::set<std::pair<std::size_t, std::size_t>> entries;
+  for (std::size_t v = 0; v < n; ++v) entries.insert({v, v});
+  for (const auto& [src, dst] : ref.edges) {
+    entries.insert({src, dst});
+    if (symmetrize) entries.insert({dst, src});
+  }
+  std::vector<float> degree(n, 0.0F);
+  for (const auto& [r, c] : entries) degree[r] += 1.0F;
+  std::vector<float> inv_sqrt(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    inv_sqrt[v] = 1.0F / std::sqrt(degree[v]);
+  }
+  std::vector<tensor::Triplet> triplets;
+  for (const auto& [r, c] : entries) {
+    triplets.push_back({r, c, inv_sqrt[r] * inv_sqrt[c]});
+  }
+  ref.adj = tensor::Csr::from_triplets(n, n, std::move(triplets));
+  return ref;
+}
+
+// Every bundled design as a DFG: one instance of each RTL family, each
+// structural netlist family, the ISCAS originals and obfuscations of
+// each of them.
+const std::vector<graph::Digraph>& bundled_dfgs() {
+  static const std::vector<graph::Digraph> graphs = [] {
+    data::RtlCorpusOptions rtl;
+    rtl.instances_per_family = 2;
+    std::vector<data::CorpusItem> items = data::build_rtl_corpus(rtl);
+    for (const std::string& family : data::netlist_family_names()) {
+      items.push_back({family, family, "netlist",
+                       data::build_netlist_family(family).to_verilog()});
+    }
+    for (data::CorpusItem& item : data::build_iscas_originals()) {
+      items.push_back(std::move(item));
+    }
+    data::IscasCorpusOptions obfuscated;
+    obfuscated.obfuscated_per_benchmark = 5;
+    for (data::CorpusItem& item : data::build_iscas_obfuscated(obfuscated)) {
+      items.push_back(std::move(item));
+    }
+    std::vector<graph::Digraph> out;
+    out.reserve(items.size());
+    for (const data::CorpusItem& item : items) {
+      out.push_back(dfg::extract_dfg(item.verilog));
+    }
+    return out;
+  }();
+  return graphs;
+}
+
+void expect_same_tensors(const GraphTensors& t, const ReferenceTensors& ref,
+                         bool symmetrize) {
+  EXPECT_EQ(t.edges, ref.edges);
+  EXPECT_EQ(t.adj->symmetric(), symmetrize);
+  EXPECT_EQ(t.adj->row_offsets(), ref.adj.row_offsets());
+  EXPECT_EQ(t.adj->col_indices(), ref.adj.col_indices());
+  // Bitwise: exact float equality, not a tolerance.
+  EXPECT_EQ(t.adj->values(), ref.adj.values());
+  // Sᵀ·X, served from S itself when symmetric, from a stored
+  // transpose otherwise, must match the transpose-carrying reference.
+  tensor::Matrix x(t.num_nodes, 5);
+  util::Rng rng(t.num_nodes);
+  for (float& v : x.data()) v = rng.uniform(-1, 1);
+  EXPECT_EQ(tensor::max_abs_diff(t.adj->multiply_transposed(x),
+                                 ref.adj.multiply_transposed(x)),
+            0.0F);
+}
+
+TEST(Featurize, MatchesOrderedSetReferenceOnSmallGraphs) {
+  graph::Digraph g = tiny_graph();
+  g.add_edge(2, 1);                              // a two-cycle
+  g.add_edge(3, 3, /*allow_self_loop=*/true);    // dropped, re-added as Â_ii
+  g.add_edge(0, 3);
+  for (const bool sym : {true, false}) {
+    expect_same_tensors(featurize(g, {.symmetrize = sym}),
+                        reference_featurize(g, sym), sym);
+  }
+}
+
+TEST(Featurize, MatchesOrderedSetReferenceOnBundledDesigns) {
+  for (const graph::Digraph& g : bundled_dfgs()) {
+    for (const bool sym : {true, false}) {
+      expect_same_tensors(featurize(g, {.symmetrize = sym}),
+                          reference_featurize(g, sym), sym);
+    }
+  }
+}
+
 TEST(Featurize, EmptyGraphRejected) {
   graph::Digraph g;
   EXPECT_THROW(featurize(g), util::ContractViolation);
@@ -126,6 +238,20 @@ TEST(GcnLayer, PropagationMixesNeighborFeatures) {
   EXPECT_GT(diff, 1e-6F);
 }
 
+TEST(GcnLayer, TapeFreeForwardMatchesTape) {
+  util::Rng rng(9);
+  GcnLayer layer(static_cast<std::size_t>(dfg::kNodeKindCount), 8, rng);
+  layer.bias().value.fill(0.25F);
+  const GraphTensors t = featurize(tiny_graph());
+  for (const bool relu : {true, false}) {
+    tensor::Tape tape;
+    const tensor::Var y = layer.forward(tape, t.adj, tape.constant(t.x), relu);
+    const tensor::Matrix direct = layer.forward(*t.adj, t.x, relu);
+    ASSERT_TRUE(direct.same_shape(y.value()));
+    EXPECT_EQ(tensor::max_abs_diff(direct, y.value()), 0.0F);
+  }
+}
+
 TEST(SagPool, KeepsCeilRatioNodes) {
   util::Rng rng(3);
   SagPool pool(4, 0.5F, rng);
@@ -137,7 +263,6 @@ TEST(SagPool, KeepsCeilRatioNodes) {
   const SagPool::Result r = pool.forward(tape, t, h);
   EXPECT_EQ(r.kept.size(), 2u);  // ceil(0.5 * 4)
   EXPECT_EQ(r.x.value().rows(), 2u);
-  EXPECT_EQ(r.adj->rows(), 2u);
 }
 
 TEST(SagPool, RatioOneKeepsAll) {
@@ -152,48 +277,22 @@ TEST(SagPool, RatioOneKeepsAll) {
   EXPECT_EQ(r.kept.size(), 4u);
 }
 
-TEST(SagPool, PooledEdgesAreInduced) {
+TEST(SagPool, TapeFreeForwardMatchesTape) {
   util::Rng rng(5);
   SagPool pool(4, 0.75F, rng);  // keep 3 of 4
   GcnLayer embed(static_cast<std::size_t>(dfg::kNodeKindCount), 4, rng);
   const GraphTensors t = featurize(tiny_graph());
   tensor::Tape tape;
-  tensor::Var x = tape.constant(t.x);
-  tensor::Var h = embed.forward(tape, t.adj, x);
+  tensor::Var h = embed.forward(tape, t.adj, tape.constant(t.x));
   const SagPool::Result r = pool.forward(tape, t, h);
-  // Every pooled edge's endpoints must be within range.
-  for (const auto& [s, d] : r.edges) {
-    EXPECT_LT(s, r.kept.size());
-    EXPECT_LT(d, r.kept.size());
-  }
-}
-
-TEST(SagPool, PooledAdjacencyServedFromCacheOnRepeat) {
-  util::Rng rng(8);
-  SagPool pool(4, 0.5F, rng);
-  GcnLayer embed(static_cast<std::size_t>(dfg::kNodeKindCount), 4, rng);
-  const GraphTensors t = featurize(tiny_graph());
-  ASSERT_NE(t.pooled_cache, nullptr);
-  EXPECT_EQ(t.pooled_cache->size(), 0u);
-
-  tensor::Tape tape;
-  tensor::Var x = tape.constant(t.x);
-  tensor::Var h = embed.forward(tape, t.adj, x);
-  const SagPool::Result r1 = pool.forward(tape, t, h);
-  EXPECT_EQ(t.pooled_cache->size(), 1u);
-  // Same weights, same graph -> same kept set -> the cached CSR object
-  // itself is returned, and no new entry appears.
-  const SagPool::Result r2 = pool.forward(tape, t, h);
-  EXPECT_EQ(t.pooled_cache->size(), 1u);
-  EXPECT_EQ(r1.adj.get(), r2.adj.get());
-  EXPECT_EQ(r1.kept, r2.kept);
-  // A cache-less GraphTensors still works (computed directly).
-  GraphTensors bare = t;
-  bare.pooled_cache = nullptr;
-  const SagPool::Result r3 = pool.forward(tape, bare, h);
-  EXPECT_EQ(r3.kept, r1.kept);
-  EXPECT_EQ(tensor::max_abs_diff(r3.adj->to_dense(), r1.adj->to_dense()),
-            0.0F);
+  EXPECT_EQ(r.kept.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(r.kept.begin(), r.kept.end()));
+  const tensor::Matrix pooled = pool.forward(t, h.value());
+  ASSERT_TRUE(pooled.same_shape(r.x.value()));
+  EXPECT_EQ(tensor::max_abs_diff(pooled, r.x.value()), 0.0F);
+  // The same contracts as the tape path.
+  EXPECT_THROW((void)pool.forward(t, tensor::Matrix(3, 4)),
+               util::ContractViolation);
 }
 
 TEST(SagPool, InvalidRatioRejected) {
@@ -208,6 +307,19 @@ TEST(Readout, StringRoundTrip) {
   EXPECT_EQ(readout_from_string("sum"), Readout::kSum);
   EXPECT_STREQ(to_string(Readout::kMax), "max");
   EXPECT_THROW((void)readout_from_string("median"), std::invalid_argument);
+}
+
+TEST(Readout, TapeFreeMatchesTape) {
+  const tensor::Matrix m =
+      tensor::Matrix::from_rows({{1, -4, 0.1F}, {3, 2, 0.2F}, {3, -1, 0.7F}});
+  for (const Readout mode : {Readout::kSum, Readout::kMean, Readout::kMax}) {
+    tensor::Tape tape;
+    const tensor::Var y = apply_readout(tape, tape.constant(m), mode);
+    EXPECT_EQ(tensor::max_abs_diff(apply_readout(m, mode), y.value()), 0.0F)
+        << to_string(mode);
+  }
+  EXPECT_THROW((void)apply_readout(tensor::Matrix(0, 3), Readout::kSum),
+               util::ContractViolation);
 }
 
 TEST(Readout, AppliesSelectedOperation) {
@@ -291,6 +403,71 @@ TEST(Hw2Vec, RealDfgEndToEnd) {
   const tensor::Matrix h = model.embed_inference(featurize(g));
   EXPECT_EQ(h.cols(), 16u);
   for (float v : h.data()) EXPECT_TRUE(std::isfinite(v));
+}
+
+// The tape path is the oracle for the tape-free one: the same kernels
+// in the same order must give the same bits, on every bundled design,
+// for each readout, with and without the last-layer ReLU, over
+// symmetric and directed adjacencies.
+struct OracleCase {
+  const char* name;
+  Readout readout;
+  bool relu_last_layer;
+  bool symmetrize;
+};
+
+class Hw2VecOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(Hw2VecOracle, TapeFreeEmbeddingIsBitIdenticalToTape) {
+  const OracleCase& c = GetParam();
+  Hw2VecConfig config;
+  config.readout = c.readout;
+  config.relu_last_layer = c.relu_last_layer;
+  config.symmetrize_adjacency = c.symmetrize;
+  config.seed = 13;
+  Hw2Vec model(config);
+  std::size_t compared = 0;
+  for (const graph::Digraph& g : bundled_dfgs()) {
+    const GraphTensors t = featurize(g, {.symmetrize = c.symmetrize});
+    tensor::Tape tape;
+    util::Rng unused(0);
+    const tensor::Matrix oracle =
+        model.embed(tape, t, unused, /*training=*/false).value();
+    const tensor::Matrix direct = model.embed_inference(t);
+    ASSERT_TRUE(direct.same_shape(oracle));
+    EXPECT_EQ(tensor::max_abs_diff(direct, oracle), 0.0F)
+        << "graph " << compared << " (" << g.num_nodes() << " nodes)";
+    ++compared;
+  }
+  EXPECT_GT(compared, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BundledDesigns, Hw2VecOracle,
+    ::testing::Values(OracleCase{"max", Readout::kMax, false, true},
+                      OracleCase{"sum", Readout::kSum, false, true},
+                      OracleCase{"mean", Readout::kMean, false, true},
+                      OracleCase{"max_relu_last", Readout::kMax, true, true},
+                      OracleCase{"max_directed", Readout::kMax, false, false},
+                      OracleCase{"mean_relu_last_directed", Readout::kMean,
+                                 true, false}),
+    [](const ::testing::TestParamInfo<OracleCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+TEST(Hw2Vec, TapeFreeInferenceKeepsTheTapeContracts) {
+  const Hw2Vec model;
+  GraphTensors t = featurize(tiny_graph());
+  GraphTensors narrow = t;
+  narrow.x = tensor::Matrix(t.num_nodes, 3);
+  EXPECT_THROW((void)model.embed_inference(narrow), util::ContractViolation);
+  GraphTensors miscounted = t;
+  miscounted.num_nodes = t.num_nodes + 1;
+  EXPECT_THROW((void)model.embed_inference(miscounted),
+               util::ContractViolation);
+  GraphTensors bare = t;
+  bare.adj = nullptr;
+  EXPECT_THROW((void)model.embed_inference(bare), util::ContractViolation);
 }
 
 TEST(ModelIo, SaveLoadRoundTrip) {

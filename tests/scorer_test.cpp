@@ -10,6 +10,7 @@
 #include "core/gnn4ip.h"
 #include "core/pairwise_scorer.h"
 #include "data/corpus.h"
+#include "tensor/tape.h"
 #include "util/contract.h"
 
 namespace gnn4ip::core {
@@ -334,19 +335,33 @@ TEST(PairwiseScorer, TopKAgreesWithScoreAllPairs) {
   }
 }
 
-TEST(PairwiseScorer, ReusedTapeEmbeddingsMatchFreshTapePath) {
-  // from_entries reuses one tape per worker via Tape::reset(); the cached
-  // rows must stay bit-identical to per-graph fresh-tape embeddings.
+TEST(PairwiseScorer, CachedRowsMatchTapeOracleFor1And2And8Workers) {
+  // from_entries embeds on the tape-free path; for any worker count the
+  // cached rows must equal, bit for bit, the training forward recorded
+  // on a tape.
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
-  const PairwiseScorer scorer = PairwiseScorer::from_entries(model, entries);
-  const tensor::Matrix cached = scorer.embedding_matrix();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const tensor::Matrix fresh = model.embed_inference(entries[i].tensors);
-    const std::span<const float> row = cached.row(i);
-    ASSERT_EQ(row.size(), fresh.size());
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      EXPECT_EQ(row[c], fresh.data()[c]);
+  std::vector<tensor::Matrix> oracle;
+  for (const train::GraphEntry& entry : entries) {
+    tensor::Tape tape;
+    util::Rng unused(0);
+    oracle.push_back(
+        model.embed(tape, entry.tensors, unused, /*training=*/false).value());
+  }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ScorerOptions options;
+    options.num_threads = threads;
+    const tensor::Matrix cached =
+        PairwiseScorer::from_entries(model, entries, options)
+            .embedding_matrix();
+    ASSERT_EQ(cached.rows(), entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const std::span<const float> row = cached.row(i);
+      ASSERT_EQ(row.size(), oracle[i].size());
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        EXPECT_EQ(row[c], oracle[i].data()[c])
+            << "entry " << i << " with " << threads << " workers";
+      }
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
 #include "data/corpus.h"
+#include "scratch_dir.h"
 #include "util/contract.h"
 
 namespace gnn4ip::core {
@@ -386,8 +387,8 @@ TEST(ShardedCorpus, HolesAndReclaimMatchEagerCompactionThroughChurn) {
   gnn::Hw2Vec model;
   const auto entries = small_corpus();
   const auto embeddings = embed_all(model, entries);
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "gnn4ip_sharding_test";
+  const test::ScratchDir scratch("gnn4ip_sharding_test");
+  const std::filesystem::path root = scratch.path() / "snapshots";
   constexpr float kDelta = 0.5F;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     for (const bool prefilter : {false, true}) {

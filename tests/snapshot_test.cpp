@@ -28,6 +28,7 @@
 #include "core/gnn4ip.h"
 #include "core/sharded_corpus.h"
 #include "core/snapshot_format.h"
+#include "scratch_dir.h"
 #include "data/corpus.h"
 #include "gnn/model_io.h"
 
@@ -51,14 +52,11 @@ std::vector<tensor::Matrix> embed_all(gnn::Hw2Vec& model,
   return out;
 }
 
-/// Fresh (emptied) per-test snapshot directory under the system temp
-/// root — deterministic names, so reruns overwrite instead of leaking.
+/// Fresh (emptied) per-test snapshot directory inside this process's
+/// own scratch root, which is removed at exit.
 std::string snapshot_dir(const std::string& leaf) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "gnn4ip_snapshot_test" / leaf;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  static const test::ScratchDir root("gnn4ip_snapshot_test");
+  return root.fresh(leaf);
 }
 
 std::string slurp(const std::string& path) {

@@ -150,6 +150,67 @@ TEST(Csr, MultiplyTransposedMatchesDense) {
   EXPECT_LT(max_abs_diff(via_sparse, via_dense), 1e-5F);
 }
 
+TEST(Csr, SymmetricMultiplyTransposedMatchesGeneralTranspose) {
+  // A symmetric CSR stores no transpose and reads itself for Sᵀ·X. Its
+  // row c lists the same columns, in the same order and with the same
+  // values, as row c of the transpose a general CSR builds, so the two
+  // products agree bit for bit.
+  util::Rng rng(17);
+  const std::size_t n = 9;
+  std::vector<float> scale(n);
+  for (float& v : scale) v = rng.uniform(0.1F, 1.0F);
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::size_t> cols;
+  std::vector<float> values;
+  std::vector<Triplet> triplets;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      // Symmetric pattern: keep (r, c) iff (r + c) % 3 != 1 or r == c.
+      if ((r + c) % 3 == 1 && r != c) continue;
+      cols.push_back(c);
+      values.push_back(scale[r] * scale[c]);
+      triplets.push_back({r, c, scale[r] * scale[c]});
+    }
+    offsets.push_back(cols.size());
+  }
+  const Csr sym = Csr::from_sorted(n, n, offsets, cols, values,
+                                   /*symmetric=*/true);
+  const Csr general = Csr::from_triplets(n, n, triplets);
+  EXPECT_TRUE(sym.symmetric());
+  EXPECT_FALSE(general.symmetric());
+  Matrix x(n, 11);
+  for (float& v : x.data()) v = rng.uniform(-1, 1);
+  EXPECT_EQ(max_abs_diff(sym.multiply(x), general.multiply(x)), 0.0F);
+  EXPECT_EQ(max_abs_diff(sym.multiply_transposed(x),
+                         general.multiply_transposed(x)),
+            0.0F);
+  EXPECT_EQ(max_abs_diff(sym.multiply_transposed(x), sym.multiply(x)), 0.0F);
+}
+
+TEST(Csr, FromSortedRejectsMalformedArrays) {
+  // Offsets that do not end at nnz.
+  EXPECT_THROW(Csr::from_sorted(2, 2, {0, 1, 1}, {0, 1}, {1, 1}, false),
+               util::ContractViolation);
+  // A middle offset past nnz.
+  EXPECT_THROW(Csr::from_sorted(2, 2, {0, 5, 1}, {0}, {1}, false),
+               util::ContractViolation);
+  // Columns out of order within a row.
+  EXPECT_THROW(Csr::from_sorted(1, 3, {0, 2}, {2, 0}, {1, 1}, false),
+               util::ContractViolation);
+  // Column out of range.
+  EXPECT_THROW(Csr::from_sorted(1, 2, {0, 1}, {2}, {1}, false),
+               util::ContractViolation);
+  // Symmetric but not square.
+  EXPECT_THROW(Csr::from_sorted(1, 2, {0, 1}, {0}, {1}, true),
+               util::ContractViolation);
+  // A general CSR built this way keeps its transpose.
+  const Csr s = Csr::from_sorted(2, 3, {0, 1, 2}, {2, 0}, {4, 5}, false);
+  const Matrix t = s.multiply_transposed(Matrix(2, 1, 1.0F));
+  EXPECT_FLOAT_EQ(t.at(0, 0), 5.0F);
+  EXPECT_FLOAT_EQ(t.at(1, 0), 0.0F);
+  EXPECT_FLOAT_EQ(t.at(2, 0), 4.0F);
+}
+
 TEST(Csr, ShapeChecks) {
   const Csr s = Csr::from_triplets(2, 3, {{0, 0, 1.0F}});
   Matrix wrong(2, 2);

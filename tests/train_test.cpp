@@ -1,9 +1,11 @@
 // Training-stack tests: optimizers, pair dataset, metrics, trainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/gnn4ip.h"
+#include "tensor/tape.h"
 #include "train/dataset.h"
 #include "train/metrics.h"
 #include "train/optimizer.h"
@@ -269,6 +271,51 @@ TEST(Trainer, EmbedAllIdenticalAcross1And2And8Workers) {
   for (std::size_t g = 0; g < per_count[0].size(); ++g) {
     EXPECT_EQ(tensor::max_abs_diff(per_count[0][g], per_count[1][g]), 0.0F);
     EXPECT_EQ(tensor::max_abs_diff(per_count[0][g], per_count[2][g]), 0.0F);
+  }
+}
+
+TEST(Trainer, TrainedEmbeddingsMatchTapeOracleFor1And2And8Workers) {
+  // embed_all and score_pairs run the tape-free forward. After training
+  // moves the weights off their initialization, every row must still
+  // equal the training forward recorded on a tape, for any worker count.
+  const PairDataset ds = PairDataset::all_pairs(toy_entries(3, 4));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    gnn::Hw2VecConfig mc;
+    mc.hidden_dim = 8;
+    mc.seed = 23;
+    mc.readout = gnn::Readout::kMean;
+    gnn::Hw2Vec model(mc);
+    TrainConfig tc;
+    tc.epochs = 3;
+    tc.batch_graphs = 12;
+    tc.learning_rate = 5e-3F;
+    tc.seed = 24;
+    tc.num_threads = threads;
+    Trainer trainer(model, ds, tc);
+    trainer.fit();
+    const std::vector<tensor::Matrix> rows = trainer.embed_all();
+    ASSERT_EQ(rows.size(), ds.graphs().size());
+    std::vector<tensor::Matrix> oracle;
+    for (const GraphEntry& entry : ds.graphs()) {
+      tensor::Tape tape;
+      util::Rng unused(0);
+      oracle.push_back(
+          model.embed(tape, entry.tensors, unused, /*training=*/false)
+              .value());
+    }
+    for (std::size_t g = 0; g < rows.size(); ++g) {
+      EXPECT_EQ(tensor::max_abs_diff(rows[g], oracle[g]), 0.0F)
+          << "graph " << g << " with " << threads << " workers";
+    }
+    const std::vector<float> scores = trainer.score_pairs(trainer.split().test);
+    for (std::size_t k = 0; k < scores.size(); ++k) {
+      const PairSample& p = ds.pairs()[trainer.split().test[k]];
+      const float want = tensor::dot(oracle[p.a], oracle[p.b]) /
+                         std::max(oracle[p.a].frobenius_norm() *
+                                      oracle[p.b].frobenius_norm(),
+                                  1e-8F);
+      EXPECT_EQ(scores[k], want) << "pair " << k;
+    }
   }
 }
 
