@@ -18,8 +18,10 @@ namespace gnn4ip::dfg {
 
 /// One signal's data-flow tree. `tree` is an AST expression whose
 /// identifiers refer to other signals; control flow has been lowered to
-/// ternaries (`is_case_merge` marks trees produced by case statements so
-/// merge can label them kBranch instead of kMux).
+/// ternaries (an `if` and every `case` arm alike become a kMux in merge;
+/// a case arm's condition is its `subject == label` terms joined by ||).
+/// Trees are immutable and may share subtrees with each other and with
+/// the module they were read from; merge unfolds every occurrence.
 struct SignalDriver {
   std::string signal;
   verilog::ExprPtr tree;

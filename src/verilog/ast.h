@@ -8,8 +8,16 @@
 // instantiation with ordered or named connections and parameter
 // overrides. Unsupported constructs (functions, tasks, generate, for
 // loops in synthesis position) raise ParseError with a location.
+//
+// Ownership: an expression is immutable once built and shared by every
+// holder. Nodes are created with std::make_shared<Expr>, filled in, and
+// published as an ExprPtr (pointer to const); passing an expression on
+// copies the pointer, never the tree. A rewrite (map_identifiers) builds
+// new nodes only on the paths that change and returns its input itself
+// when nothing under it changed.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,7 +66,7 @@ enum class ExprKind {
 };
 
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = std::shared_ptr<const Expr>;
 
 struct Expr {
   ExprKind kind = ExprKind::kNumber;
@@ -67,14 +75,19 @@ struct Expr {
   BinaryOp op_binary = BinaryOp::kAdd;
   std::vector<ExprPtr> operands;
   SourceLocation loc;
-
-  [[nodiscard]] ExprPtr clone() const;
 };
 
 [[nodiscard]] ExprPtr make_identifier(std::string name, SourceLocation loc = {});
 [[nodiscard]] ExprPtr make_number(std::string literal, SourceLocation loc = {});
-[[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr a);
+[[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr a, SourceLocation loc);
 [[nodiscard]] ExprPtr make_binary(BinaryOp op, ExprPtr a, ExprPtr b);
+
+/// `e` with every identifier leaf replaced by `map(leaf)`. Only nodes
+/// above a replaced leaf are rebuilt; every other subtree is shared, and
+/// `e` itself comes back when `map` returns each leaf it is given.
+/// A null `e` maps to null.
+[[nodiscard]] ExprPtr map_identifiers(
+    const ExprPtr& e, const std::function<ExprPtr(const ExprPtr&)>& map);
 
 /// Try to evaluate to a 64-bit constant given parameter bindings
 /// (identifier -> value). Returns nullopt for non-constant expressions.
@@ -116,8 +129,6 @@ struct Stmt {
   std::vector<CaseItem> case_items;
   bool casex = false;            // kCase: casex/casez variant
   SourceLocation loc;
-
-  [[nodiscard]] StmtPtr clone() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -131,8 +142,6 @@ enum class NetType { kWire, kReg, kInteger, kSupply0, kSupply1, kTri };
 struct Range {
   ExprPtr msb;
   ExprPtr lsb;
-
-  [[nodiscard]] Range clone() const;
 };
 
 /// Declaration of one or more nets sharing direction/type/range is split

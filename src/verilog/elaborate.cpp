@@ -17,7 +17,6 @@ using ParamEnv = std::vector<std::pair<std::string, long long>>;
 /// Per-module-inlining context: how identifiers get rewritten.
 struct RewriteContext {
   std::string prefix;                 // "" for top, "u1." style otherwise
-  const std::unordered_set<std::string>* net_names = nullptr;
   const ParamEnv* params = nullptr;
 };
 
@@ -25,34 +24,20 @@ std::string prefixed(const RewriteContext& ctx, const std::string& name) {
   return ctx.prefix.empty() ? name : ctx.prefix + name;
 }
 
-ExprPtr rewrite_expr(const Expr& e, const RewriteContext& ctx);
-
-ExprPtr rewrite_children(const Expr& e, const RewriteContext& ctx) {
-  auto copy = std::make_unique<Expr>();
-  copy->kind = e.kind;
-  copy->text = e.text;
-  copy->op_unary = e.op_unary;
-  copy->op_binary = e.op_binary;
-  copy->loc = e.loc;
-  for (const ExprPtr& child : e.operands) {
-    copy->operands.push_back(child == nullptr ? nullptr
-                                              : rewrite_expr(*child, ctx));
-  }
-  return copy;
-}
-
-ExprPtr rewrite_expr(const Expr& e, const RewriteContext& ctx) {
-  if (e.kind != ExprKind::kIdentifier) return rewrite_children(e, ctx);
-  // Parameter use -> constant.
-  for (const auto& [name, value] : *ctx.params) {
-    if (name == e.text) {
-      return make_number(std::to_string(value), e.loc);
+/// Parameter uses become constants and, inside an instance, net names
+/// get the instance prefix. In the top module every other identifier
+/// maps to itself, so its trees are shared with the parse.
+ExprPtr rewrite_expr(const ExprPtr& e, const RewriteContext& ctx) {
+  return map_identifiers(e, [&ctx](const ExprPtr& id) -> ExprPtr {
+    for (const auto& [name, value] : *ctx.params) {
+      if (name == id->text) return make_number(std::to_string(value), id->loc);
     }
-  }
-  // Known or implicit net -> prefixed name. Identifiers that are not
-  // declared are implicit wires; they are registered by the caller before
-  // rewriting, so at this point every non-parameter identifier is a net.
-  return make_identifier(prefixed(ctx, e.text), e.loc);
+    // Identifiers that are not declared are implicit wires; they are
+    // registered by the caller before rewriting, so at this point every
+    // non-parameter identifier is a net.
+    if (ctx.prefix.empty()) return id;
+    return make_identifier(ctx.prefix + id->text, id->loc);
+  });
 }
 
 StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
@@ -60,9 +45,9 @@ StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
   copy->kind = s.kind;
   copy->casex = s.casex;
   copy->loc = s.loc;
-  copy->cond = s.cond == nullptr ? nullptr : rewrite_expr(*s.cond, ctx);
-  copy->lhs = s.lhs == nullptr ? nullptr : rewrite_expr(*s.lhs, ctx);
-  copy->rhs = s.rhs == nullptr ? nullptr : rewrite_expr(*s.rhs, ctx);
+  copy->cond = rewrite_expr(s.cond, ctx);
+  copy->lhs = rewrite_expr(s.lhs, ctx);
+  copy->rhs = rewrite_expr(s.rhs, ctx);
   for (const StmtPtr& child : s.children) {
     copy->children.push_back(child == nullptr ? nullptr
                                               : rewrite_stmt(*child, ctx));
@@ -70,7 +55,7 @@ StmtPtr rewrite_stmt(const Stmt& s, const RewriteContext& ctx) {
   for (const CaseItem& item : s.case_items) {
     CaseItem ci;
     for (const ExprPtr& label : item.labels) {
-      ci.labels.push_back(rewrite_expr(*label, ctx));
+      ci.labels.push_back(rewrite_expr(label, ctx));
     }
     ci.body = item.body == nullptr ? nullptr : rewrite_stmt(*item.body, ctx);
     copy->case_items.push_back(std::move(ci));
@@ -199,7 +184,6 @@ class Elaborator {
 
     RewriteContext ctx;
     ctx.prefix = prefix;
-    ctx.net_names = &net_names;
     ctx.params = &env;
 
     // Nets.
@@ -212,8 +196,8 @@ class Elaborator {
       if (keep_ports) copy.direction = net.direction;
       if (net.range.has_value()) {
         Range r;
-        r.msb = rewrite_expr(*net.range->msb, ctx);
-        r.lsb = rewrite_expr(*net.range->lsb, ctx);
+        r.msb = rewrite_expr(net.range->msb, ctx);
+        r.lsb = rewrite_expr(net.range->lsb, ctx);
         copy.range = std::move(r);
       }
       out.nets.push_back(std::move(copy));
@@ -221,7 +205,7 @@ class Elaborator {
         ContinuousAssign ca;
         ca.loc = net.loc;
         ca.lhs = make_identifier(prefixed(ctx, net.name), net.loc);
-        ca.rhs = rewrite_expr(*net.init, ctx);
+        ca.rhs = rewrite_expr(net.init, ctx);
         out.assigns.push_back(std::move(ca));
       }
     }
@@ -236,8 +220,8 @@ class Elaborator {
     for (const ContinuousAssign& ca : m.assigns) {
       ContinuousAssign copy;
       copy.loc = ca.loc;
-      copy.lhs = rewrite_expr(*ca.lhs, ctx);
-      copy.rhs = rewrite_expr(*ca.rhs, ctx);
+      copy.lhs = rewrite_expr(ca.lhs, ctx);
+      copy.rhs = rewrite_expr(ca.rhs, ctx);
       out.assigns.push_back(std::move(copy));
     }
     for (const AlwaysBlock& ab : m.always_blocks) {
@@ -248,8 +232,7 @@ class Elaborator {
       for (const SensitivityItem& item : ab.sensitivity) {
         SensitivityItem si;
         si.edge = item.edge;
-        si.signal = item.signal == nullptr ? nullptr
-                                           : rewrite_expr(*item.signal, ctx);
+        si.signal = rewrite_expr(item.signal, ctx);
         copy.sensitivity.push_back(std::move(si));
       }
       copy.body = ab.body == nullptr ? nullptr : rewrite_stmt(*ab.body, ctx);
@@ -262,7 +245,7 @@ class Elaborator {
           gate.instance_name.empty() ? "" : prefixed(ctx, gate.instance_name);
       copy.loc = gate.loc;
       for (const ExprPtr& t : gate.terminals) {
-        copy.terminals.push_back(rewrite_expr(*t, ctx));
+        copy.terminals.push_back(rewrite_expr(t, ctx));
       }
       out.gates.push_back(std::move(copy));
     }
@@ -339,7 +322,7 @@ class Elaborator {
         if (conn->actual == nullptr) continue;  // explicitly unconnected
         ContinuousAssign ca;
         ca.loc = inst.loc;
-        ExprPtr actual = rewrite_expr(*conn->actual, ctx);
+        ExprPtr actual = rewrite_expr(conn->actual, ctx);
         ExprPtr formal = make_identifier(child_prefix + port_name, inst.loc);
         switch (*port->direction) {
           case PortDirection::kInput:

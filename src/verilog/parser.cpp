@@ -191,7 +191,7 @@ class Parser {
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
-      if (range.has_value()) net.range = range->clone();
+      net.range = range;
       mod.port_order.push_back(net.name);
       mod.nets.push_back(std::move(net));
     } while (accept_punct(","));
@@ -299,7 +299,7 @@ class Parser {
       net.type = type;
       net.direction = direction;
       net.is_signed = is_signed;
-      if (range.has_value()) net.range = range->clone();
+      net.range = range;
       if (accept_punct("=")) {
         net.init = parse_expression();
       }
@@ -563,12 +563,7 @@ class Parser {
       ModuleInstance inst;
       inst.loc = peek().loc;
       inst.module_name = module_name;
-      for (const PortConnection& p : params) {
-        PortConnection copy;
-        copy.port_name = p.port_name;
-        copy.actual = p.actual == nullptr ? nullptr : p.actual->clone();
-        inst.parameter_overrides.push_back(std::move(copy));
-      }
+      inst.parameter_overrides = params;
       inst.instance_name = expect_identifier("instance name");
       if (peek().is_punct("[")) {
         throw ParseError("instance arrays are not supported", peek().loc);
@@ -607,7 +602,7 @@ class Parser {
   ExprPtr parse_ternary() {
     ExprPtr cond = parse_binary(1);
     if (!accept_punct("?")) return cond;
-    auto expr = std::make_unique<Expr>();
+    auto expr = std::make_shared<Expr>();
     expr->kind = ExprKind::kTernary;
     expr->loc = cond->loc;
     ExprPtr then_val = parse_expression();
@@ -654,10 +649,7 @@ class Parser {
       if (matched) {
         const SourceLocation loc = t.loc;
         advance();
-        ExprPtr operand = parse_unary();
-        ExprPtr e = make_unary(op, std::move(operand));
-        e->loc = loc;
-        return e;
+        return make_unary(op, parse_unary(), loc);
       }
     }
     return parse_postfix();
@@ -670,7 +662,7 @@ class Parser {
       ExprPtr first = parse_expression();
       if (accept_punct(":")) {
         ExprPtr second = parse_expression();
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kPartSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -680,7 +672,7 @@ class Parser {
       } else if (accept_punct("+:")) {
         // Indexed part select base[start +: width] — treat like part select.
         ExprPtr width = parse_expression();
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kPartSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -688,7 +680,7 @@ class Parser {
         sel->operands.push_back(std::move(width));
         base = std::move(sel);
       } else {
-        auto sel = std::make_unique<Expr>();
+        auto sel = std::make_shared<Expr>();
         sel->kind = ExprKind::kBitSelect;
         sel->loc = base->loc;
         sel->operands.push_back(std::move(base));
@@ -708,7 +700,7 @@ class Parser {
       return e;
     }
     if (t.kind == TokenKind::kString) {
-      auto e = std::make_unique<Expr>();
+      auto e = std::make_shared<Expr>();
       e->kind = ExprKind::kString;
       e->text = t.text;
       e->loc = t.loc;
@@ -732,14 +724,14 @@ class Parser {
       ExprPtr first = parse_expression();
       if (peek().is_punct("{")) {
         advance();
-        auto rep = std::make_unique<Expr>();
+        auto rep = std::make_shared<Expr>();
         rep->kind = ExprKind::kRepeat;
         rep->loc = t.loc;
         rep->operands.push_back(std::move(first));
         // Replication body is a concatenation list: {N{a, b, ...}}.
         ExprPtr body = parse_expression();
         if (peek().is_punct(",")) {
-          auto inner = std::make_unique<Expr>();
+          auto inner = std::make_shared<Expr>();
           inner->kind = ExprKind::kConcat;
           inner->loc = body->loc;
           inner->operands.push_back(std::move(body));
@@ -753,7 +745,7 @@ class Parser {
         expect_punct("}");
         return rep;
       }
-      auto concat = std::make_unique<Expr>();
+      auto concat = std::make_shared<Expr>();
       concat->kind = ExprKind::kConcat;
       concat->loc = t.loc;
       concat->operands.push_back(std::move(first));
@@ -772,7 +764,7 @@ class Parser {
     if (peek().is_punct("{")) {
       const Token& open = peek();
       advance();
-      auto concat = std::make_unique<Expr>();
+      auto concat = std::make_shared<Expr>();
       concat->kind = ExprKind::kConcat;
       concat->loc = open.loc;
       do {

@@ -1,12 +1,17 @@
 // DFG pipeline tests: dataflow analysis, merge, trim, end-to-end shapes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 
+#include "data/corpus.h"
 #include "dfg/dataflow.h"
 #include "dfg/merge.h"
 #include "dfg/node_kind.h"
 #include "dfg/pipeline.h"
+#include "dfg_golden.h"
 #include "graph/algorithms.h"
 #include "verilog/elaborate.h"
 #include "verilog/parser.h"
@@ -255,6 +260,58 @@ TEST(Dfg, PartialBitAssignsMergeDependencies) {
   EXPECT_TRUE(fwd[static_cast<std::size_t>(fb)]);
 }
 
+// --- shared symbolic values ----------------------------------------------------
+
+/// A combinational block of `n` statements `if (c[i]) x = x + 1;`. Each
+/// statement's value of x is a mux over the previous one on both arms,
+/// so the unfolded tree doubles per statement.
+std::vector<SignalDriver> if_chain_drivers(int n) {
+  std::string src = "module chain (input [" + std::to_string(n - 1) +
+                    ":0] c, output reg [7:0] x);\n  always @(*) begin\n";
+  for (int i = 0; i < n; ++i) {
+    src += "    if (c[" + std::to_string(i) + "]) x = x + 1;\n";
+  }
+  src += "  end\nendmodule\n";
+  const verilog::Design design = verilog::parse(src);
+  return analyze_dataflow(verilog::elaborate(design, "chain"));
+}
+
+std::size_t distinct_exprs(const std::vector<SignalDriver>& drivers) {
+  std::unordered_set<const verilog::Expr*> seen;
+  std::vector<const verilog::Expr*> stack;
+  for (const SignalDriver& d : drivers) stack.push_back(d.tree.get());
+  while (!stack.empty()) {
+    const verilog::Expr* e = stack.back();
+    stack.pop_back();
+    if (!seen.insert(e).second) continue;
+    for (const verilog::ExprPtr& child : e->operands) {
+      stack.push_back(child.get());
+    }
+  }
+  return seen.size();
+}
+
+std::size_t unfolded_exprs(const verilog::Expr& e) {
+  std::size_t n = 1;
+  for (const verilog::ExprPtr& child : e.operands) n += unfolded_exprs(*child);
+  return n;
+}
+
+TEST(Dataflow, IfChainValuesAreShared) {
+  // n=8 first, so a copying analyzer fails here instead of running
+  // for hours at n=30. The tree merge unfolds is the same either way:
+  // 2^n growth, 1,786 nodes at n=8.
+  const std::vector<SignalDriver> small = if_chain_drivers(8);
+  ASSERT_EQ(small.size(), 1u);
+  EXPECT_EQ(unfolded_exprs(*small[0].tree), 1786u);
+  ASSERT_LE(distinct_exprs(small), std::size_t{8} * 8);
+
+  constexpr int kStatements = 30;
+  const std::vector<SignalDriver> drivers = if_chain_drivers(kStatements);
+  ASSERT_EQ(drivers.size(), 1u);
+  EXPECT_LE(distinct_exprs(drivers), std::size_t{8} * kStatements);
+}
+
 // --- trim ----------------------------------------------------------------------
 
 TEST(Dfg, TrimRemovesDisconnectedSubgraphs) {
@@ -359,6 +416,46 @@ TEST(Dfg, SummarizeCounts) {
   EXPECT_EQ(s.num_inputs, 2u);
   EXPECT_EQ(s.num_outputs, 1u);
   EXPECT_EQ(s.num_operators, 1u);
+}
+
+/// FNV-1a over node names and kinds in id order, then the edge list.
+std::uint64_t dfg_digest(const Digraph& g) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    const graph::Node& node = g.node(static_cast<NodeId>(v));
+    mix(node.name);
+    mix(std::string(1, '\0') + std::to_string(node.kind) + ";");
+  }
+  for (const auto& [src, dst] : g.edges()) {
+    mix(std::to_string(src) + ">" + std::to_string(dst) + ";");
+  }
+  return h;
+}
+
+TEST(Dfg, BundledDesignsKeepTheirGraphs) {
+  std::vector<data::CorpusItem> designs = data::build_rtl_corpus();
+  for (data::CorpusItem& item : data::build_netlist_corpus()) {
+    designs.push_back(std::move(item));
+  }
+  for (data::CorpusItem& item : data::build_iscas_originals()) {
+    designs.push_back(std::move(item));
+  }
+  ASSERT_EQ(designs.size(), std::size(kGoldenDfgs));
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    const GoldenDfg& golden = kGoldenDfgs[i];
+    SCOPED_TRACE(golden.name);
+    ASSERT_EQ(designs[i].name, golden.name);
+    const Digraph g = extract_dfg(designs[i].verilog);
+    EXPECT_EQ(g.num_nodes(), golden.nodes);
+    EXPECT_EQ(g.num_edges(), golden.edges);
+    EXPECT_EQ(dfg_digest(g), golden.digest);
+  }
 }
 
 TEST(Dfg, NodeKindVocabularyStable) {

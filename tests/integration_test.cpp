@@ -6,6 +6,7 @@
 #include "core/gnn4ip.h"
 #include "data/rtl_designs.h"
 #include "gnn/model_io.h"
+#include "scratch_dir.h"
 
 namespace gnn4ip {
 namespace {
@@ -85,7 +86,8 @@ TEST_F(TrainedDetectorTest, DeltaTunedWithinRange) {
 }
 
 TEST_F(TrainedDetectorTest, SaveLoadKeepsBehavior) {
-  const std::string path = ::testing::TempDir() + "/gnn4ip_model.txt";
+  const test::ScratchDir dir("gnn4ip_integration");
+  const std::string path = (dir.path() / "model.txt").string();
   detector_->save(path);
   PiracyDetector loaded;
   loaded.load(path);

@@ -333,7 +333,41 @@ TEST(ConstFold, UsesEnvironment) {
   EXPECT_FALSE(fold_constant(e).has_value());
 }
 
+// --- identifier rewrite ---------------------------------------------------------
+
+TEST(MapIdentifiers, RebuildsOnlyThePathToAChangedLeaf) {
+  const Design d = parse(
+      "module m (input a, input b, input c, output y);\n"
+      "  assign y = (a + b) & ~c;\nendmodule\n");
+  const ExprPtr& e = d.modules[0].assigns[0].rhs;
+  const ExprPtr same =
+      map_identifiers(e, [](const ExprPtr& id) { return id; });
+  EXPECT_EQ(same, e);
+
+  const ExprPtr out = map_identifiers(e, [](const ExprPtr& id) {
+    return id->text == "c" ? make_identifier("k", id->loc) : id;
+  });
+  ASSERT_NE(out, e);
+  EXPECT_EQ(to_verilog(*out), "((a + b) & (~k))");
+  EXPECT_EQ(out->operands[0], e->operands[0]);  // (a + b) is shared
+  EXPECT_NE(out->operands[1], e->operands[1]);
+  EXPECT_EQ(to_verilog(*e), "((a + b) & (~c))");  // input untouched
+}
+
 // --- elaboration -----------------------------------------------------------------
+
+TEST(Elaborate, TopModuleSharesParsedTrees) {
+  const Design d = parse(
+      "module top (input a, input b, output y);\n"
+      "  parameter K = 2;\n"
+      "  assign y = a ^ b;\n"
+      "  wire w = a + K;\nendmodule\n");
+  const Module flat = elaborate(d, "top");
+  ASSERT_EQ(flat.assigns.size(), 2u);
+  // The init of w names a parameter, so it is rebuilt; `a ^ b` is not.
+  EXPECT_EQ(to_verilog(*flat.assigns[0].rhs), "(a + 2)");
+  EXPECT_EQ(flat.assigns[1].rhs, d.modules[0].assigns[0].rhs);
+}
 
 TEST(Elaborate, FlattensHierarchy) {
   const Design d = parse(
